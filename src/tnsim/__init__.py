@@ -7,13 +7,11 @@ from .circuit import (
     Gate,
     SplitGate,
     fuse_single_qubit_gates,
-    gate_split,
     generate_lattice,
     generate_rqc,
     parse_circuit,
     serialize_circuit,
 )
-from .cli import ErrorModel, WorkloadEstimate, estimate_workload
 from .network import (
     CutPlan,
     TensorNetwork,
@@ -32,5 +30,6 @@ from .pathfind import (
 )
 from .tensor import Tensor, contract_pair, contraction_cost, svd_factorize
 from .tns import TNSState, apply_gate, compress_edge, evolve, init_state, two_sided_evolve
+from .workload import ErrorModel, WorkloadEstimate, estimate_workload
 
 __version__ = "0.1.0"

@@ -1,25 +1,16 @@
-"""Access to the bundled 54-qubit sycamore-like example files."""
+"""Access to the bundled 54-qubit sycamore-like example circuit."""
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from .circuit import Circuit, Edge, parse_circuit
+from .circuit import Circuit, parse_circuit
 
-__all__ = ["load_sycamore54_circuit", "load_sycamore54_cuts"]
-
-
-def _read(name: str) -> bytes:
-    return resources.files("tnsim.data").joinpath(name).read_bytes()
+__all__ = ["load_sycamore54_circuit"]
 
 
 def load_sycamore54_circuit() -> Circuit:
     """Depth-8 random circuit on the 54-qubit sycamore-like lattice."""
-    return parse_circuit(_read("sycamore54_circuit.json"))
-
-
-def load_sycamore54_cuts() -> tuple[list[Edge], int]:
-    """Cut edge list for the 54-qubit lattice plus the rank cap it targets."""
-    doc = json.loads(_read("sycamore54_cuts.json"))
-    return [tuple(e) for e in doc["cut_edges"]], int(doc["max_rank"])
+    return parse_circuit(
+        resources.files("tnsim.data").joinpath("sycamore54_circuit.json").read_bytes()
+    )

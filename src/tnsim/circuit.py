@@ -30,7 +30,6 @@ __all__ = [
     "iswap_matrix",
     "fsim_matrix",
     "identity2",
-    "gate_split",
     "split_gate_matrix",
     "fuse_single_qubit_gates",
     "generate_lattice",
@@ -114,6 +113,9 @@ class CircuitGraph:
 
     num_qubits: int
     edges: frozenset[Edge]
+    _incident: dict[int, tuple[Edge, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
@@ -126,41 +128,34 @@ class CircuitGraph:
                 raise CircuitFormatError(f"self-loop on qubit {k}")
             if not (0 <= k < self.num_qubits and 0 <= l < self.num_qubits):
                 raise CircuitFormatError(f"edge ({k}, {l}) out of range")
+        incident: dict[int, list[Edge]] = {q: [] for q in range(self.num_qubits)}
+        for e in sorted(self.edges):
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+        object.__setattr__(
+            self, "_incident", {q: tuple(v) for q, v in incident.items()}
+        )
         if not self.is_connected():
             raise CircuitFormatError("graph is not connected")
 
-    def neighbors(self, q: int) -> set[int]:
-        return {l if k == q else k for k, l in self.edges if q in (k, l)}
-
     def degree(self, q: int) -> int:
-        return sum(1 for e in self.edges if q in e)
+        return len(self._incident[q])
 
-    def node_edges(self, q: int) -> list[Edge]:
-        return sorted(e for e in self.edges if q in e)
+    def node_edges(self, q: int) -> tuple[Edge, ...]:
+        """Edges incident to ``q``, sorted."""
+        return self._incident[q]
 
     def is_connected(self) -> bool:
-        if self.num_qubits == 1:
-            return True
-        adj: dict[int, set[int]] = {q: set() for q in range(self.num_qubits)}
-        for k, l in self.edges:
-            adj[k].add(l)
-            adj[l].add(k)
         seen = {0}
         stack = [0]
         while stack:
-            for nb in adj[stack.pop()]:
+            q = stack.pop()
+            for k, l in self._incident[q]:
+                nb = l if k == q else k
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
         return len(seen) == self.num_qubits
-
-    def boundary(self) -> set[int]:
-        """Qubits with strictly sub-maximal degree (the lattice boundary)."""
-        degs = [self.degree(q) for q in range(self.num_qubits)]
-        dmax = max(degs)
-        b = {q for q, d in enumerate(degs) if d < dmax}
-        # fully regular graph: every node counts as boundary
-        return b if b else set(range(self.num_qubits))
 
 
 @dataclass(frozen=True)
@@ -288,10 +283,6 @@ def split_gate_matrix(matrix: np.ndarray, tolerance: float = 1e-12) -> SplitGate
     return SplitGate(p, q, chi)
 
 
-def gate_split(g: Gate, tolerance: float = 1e-12) -> SplitGate:
-    return split_gate_matrix(g.matrix, tolerance)
-
-
 def _expand_on_pair(u: np.ndarray, pair: tuple[int, int], q: int) -> np.ndarray:
     if q == pair[0]:
         return np.kron(u, np.eye(2))
@@ -397,9 +388,7 @@ def _edge_coloring(graph: CircuitGraph) -> list[list[Edge]]:
     colors: dict[Edge, int] = {}
     for e in sorted(graph.edges):
         used = {
-            colors[f]
-            for f in colors
-            if e[0] in f or e[1] in f
+            colors[f] for q in e for f in graph.node_edges(q) if f in colors
         }
         c = 0
         while c in used:
@@ -466,7 +455,16 @@ def _complex_list(m: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
 
 
-def _matrix_from_list(entries: list, side: int, where: str) -> np.ndarray:
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise CircuitFormatError(
+            f"{where}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _matrix_from_list(entries, side: int, where: str) -> np.ndarray:
+    entries = _expect(entries, list, where)
     if len(entries) != side * side:
         raise CircuitFormatError(
             f"{where}: expected {side * side} complex entries, got {len(entries)}"
@@ -532,7 +530,7 @@ def _gate_from_doc(entry: dict, cycle: int, where: str) -> Gate:
         m, params = iswap_matrix(), {}
     elif kind == "fsim":
         p = entry.get("params", {})
-        if "theta" not in p or "phi" not in p:
+        if not isinstance(p, dict) or "theta" not in p or "phi" not in p:
             raise CircuitFormatError(f"{where}: fsim gate missing theta/phi")
         params = {"theta": float(p["theta"]), "phi": float(p["phi"])}
         m = fsim_matrix(params["theta"], params["phi"])
@@ -563,10 +561,13 @@ def parse_circuit(data: bytes | str) -> Circuit:
     n = doc.get("num_qubits")
     if not isinstance(n, int) or n < 1:
         raise CircuitFormatError(f"bad num_qubits {n!r}")
-    raw_edges = doc.get("edges", [])
     edges: set[Edge] = set()
-    for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 2):
+    for e in _expect(doc.get("edges", []), list, "edges"):
+        if not (
+            isinstance(e, list)
+            and len(e) == 2
+            and all(isinstance(q, int) for q in e)
+        ):
             raise CircuitFormatError(f"bad edge entry {e!r}")
         k, l = e
         if not (0 <= k < n and 0 <= l < n):
@@ -575,11 +576,11 @@ def parse_circuit(data: bytes | str) -> Circuit:
     graph = CircuitGraph(n, frozenset(edges))
 
     cycles: list[list[Gate]] = []
-    for ci, cycle_doc in enumerate(doc.get("cycles", [])):
+    for ci, cycle_doc in enumerate(_expect(doc.get("cycles", []), list, "cycles")):
         cycle: list[Gate] = []
-        for gi, entry in enumerate(cycle_doc):
+        for gi, entry in enumerate(_expect(cycle_doc, list, f"cycles[{ci}]")):
             where = f"cycles[{ci}][{gi}]"
-            g = _gate_from_doc(entry, ci, where)
+            g = _gate_from_doc(_expect(entry, dict, where), ci, where)
             k, l = g.pair
             if not (0 <= k < n and 0 <= l < n):
                 raise CircuitFormatError(f"{where}: qubit index out of range")
@@ -591,8 +592,10 @@ def parse_circuit(data: bytes | str) -> Circuit:
         cycles.append(cycle)
 
     singles: list[SingleQubitGate] = []
-    for si, entry in enumerate(doc.get("single_qubit", [])):
+    singles_doc = _expect(doc.get("single_qubit", []), list, "single_qubit")
+    for si, entry in enumerate(singles_doc):
         where = f"single_qubit[{si}]"
+        entry = _expect(entry, dict, where)
         q = entry.get("qubit")
         m = entry.get("moment")
         if not isinstance(q, int) or not 0 <= q < n:

@@ -1,6 +1,6 @@
-"""Command-line entry point and verification-workload estimation.
+"""Command-line entry point.
 
-Subcommands: gen, amplitude, verify, path, estimate-workload, bench.  Every
+Subcommands: gen, amplitude, verify, path, estimate-workload.  Every
 subcommand is deterministic given its flags and seed; all output records are
 UTF-8 JSON lines and failures exit nonzero with a machine-parsable error
 line.
@@ -13,9 +13,7 @@ import json
 import math
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,74 +26,22 @@ from .circuit import (
     parse_circuit,
     serialize_circuit,
 )
-from .network import CutPlanError, compute_amplitude
+from .network import CutPlanError, compute_amplitude, overlap_network
 from .oracle import amplitude_oracle
-from .pathfind import PathSearchError
+from .pathfind import NetworkShape, PathSearchError, find_optimal_path
+from .workload import (
+    SYCAMORE_E1,
+    SYCAMORE_E2,
+    SYCAMORE_EQ,
+    ErrorModel,
+    WorkloadError,
+    estimate_workload,
+)
 
-__all__ = ["ErrorModel", "WorkloadEstimate", "estimate_workload", "main"]
+__all__ = ["main"]
 
 # Sycamore-like lattice sizes from the bundled layouts
 SYCAMORE_SIZES = {54: (9, 6), 60: (10, 6), 66: (11, 6), 72: (12, 6), 104: (13, 8)}
-
-# error rates of the 53-qubit Sycamore processor
-SYCAMORE_E1 = 0.0016
-SYCAMORE_E2 = 0.0062
-SYCAMORE_EQ = 0.038
-
-
-class WorkloadError(ValueError):
-    """Raised when the fidelity underflows double precision."""
-
-    def __init__(self, message: str, log_fidelity: float):
-        super().__init__(message)
-        self.log_fidelity = log_fidelity
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Per-gate and readout error probabilities."""
-
-    e1: float = SYCAMORE_E1
-    e2: float = SYCAMORE_E2
-    eq: float = SYCAMORE_EQ
-
-    def __post_init__(self) -> None:
-        for name, r in (("e1", self.e1), ("e2", self.e2), ("eq", self.eq)):
-            if not 0 <= r < 1:
-                raise ValueError(f"{name}={r} outside [0, 1)")
-
-
-@dataclass(frozen=True)
-class WorkloadEstimate:
-    fidelity: float
-    required_samples: int
-    statistical_error: float
-    raw_samples: float  # unrounded (3/F)^2
-
-
-def estimate_workload(circuit: Circuit, model: ErrorModel) -> WorkloadEstimate:
-    """Circuit fidelity from per-gate error rates and the sample count needed
-    for a 3-sigma-above-zero fidelity estimate: N_s >= (3/F)^2.
-
-    The fidelity product runs over every gate (e1 for single-qubit, e2 for
-    two-qubit layers) and every measured qubit (eq); accumulated in the log
-    domain so thousands of factors do not underflow.
-    """
-    n1 = len(circuit.single_qubit) + len(circuit.trailing)
-    n2 = sum(len(c) for c in circuit.cycles)
-    log_f = (
-        n1 * math.log1p(-model.e1)
-        + n2 * math.log1p(-model.e2)
-        + circuit.num_qubits * math.log1p(-model.eq)
-    )
-    fidelity = math.exp(log_f)
-    if fidelity == 0.0:
-        raise WorkloadError(
-            f"fidelity underflows double precision (log F = {log_f})", log_f
-        )
-    raw = 9.0 * math.exp(-2.0 * log_f)
-    samples = math.ceil(raw)
-    return WorkloadEstimate(fidelity, samples, 1.0 / math.sqrt(samples), raw)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +160,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    from .circuit import fuse_single_qubit_gates
-    from .network import build_overlap_network
-    from .pathfind import NetworkShape, find_optimal_path
-    from .tns import two_sided_evolve
-
     circuit = _load_circuit(args.circuit)
-    fused = fuse_single_qubit_gates(circuit)
     n = circuit.num_qubits
-    phi, psi = two_sided_evolve(fused, "0" * n, "0" * n, args.split_cycle)
-    net = build_overlap_network(phi, psi)
+    net = overlap_network(circuit, "0" * n, "0" * n, args.split_cycle)
     path, score = find_optimal_path(NetworkShape.from_network(net), args.max_rank)
     _emit({"path": path, "score": str(score)})
     return 0
@@ -241,20 +180,6 @@ def _cmd_estimate_workload(args) -> int:
             "statistical_error": est.statistical_error,
         }
     )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    n = circuit.num_qubits
-    start = time.perf_counter()
-    stats = compute_amplitude(
-        circuit, "0" * n, "0" * n, max_rank=args.max_rank
-    )
-    elapsed = time.perf_counter() - start
-    rec = stats.record(timing=True)
-    rec["total_seconds"] = elapsed
-    _emit(rec)
     return 0
 
 
@@ -312,24 +237,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", type=float, default=SYCAMORE_EQ)
     p.set_defaults(func=_cmd_estimate_workload)
 
-    p = sub.add_parser("bench", help="time one amplitude computation")
-    p.add_argument("-c", "--circuit", required=True)
-    p.add_argument("--max-rank", type=int)
-    p.set_defaults(func=_cmd_bench)
-
     return parser
+
+
+def _apply_config(args, path: str) -> None:
+    """Set the subcommand's flags that are still None (neither given nor
+    defaulted) from the JSON object in ``path``; a key naming no flag of the
+    subcommand is an error."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path}: top level must be an object")
+    flags = set(vars(args)) - {"command", "config", "func"}
+    for key, value in doc.items():
+        attr = key.replace("-", "_")
+        if attr not in flags:
+            raise ValueError(
+                f"config {path}: unknown key {key!r} for {args.command}"
+            )
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                attr = key.replace("-", "_")
-                if getattr(args, attr, None) in (None, parser.get_default(attr)):
-                    setattr(args, attr, value)
     try:
+        if args.config:
+            _apply_config(args, args.config)
         return args.func(args)
     except (
         CircuitFormatError,

@@ -11,8 +11,10 @@ contraction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import chain
 from math import prod
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "CutPlan",
     "CutPlanError",
     "build_overlap_network",
+    "overlap_network",
     "plan_cuts",
     "slice_network",
     "contract_along_path",
@@ -67,14 +70,16 @@ class TensorNetwork:
         if any(c != 2 for c in counts.values()) or set(counts) != set(self.edges):
             raise ValueError("network is not closed")
 
-    def shape(self) -> NetworkShape:
-        return NetworkShape.from_network(self)
-
 
 @dataclass(frozen=True)
 class CutPlan:
+    """Edges to slice, their extents and, once the planner has validated the
+    plan, the contraction path every slice follows and its per-slice score."""
+
     cut_edges: tuple[Edge, ...]
     extents: tuple[int, ...]
+    path: tuple[int, ...] | None = None
+    score: int | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.cut_edges)) != len(self.cut_edges):
@@ -149,50 +154,11 @@ def _fiedler_order(shape: NetworkShape) -> list[int]:
     return [q for _, q in sorted(zip(fied, nodes), key=lambda t: (t[0], t[1]))]
 
 
-PLANNER_STATE_BUDGET = 1_000_000
-
-
-def _search_ok(
-    net: TensorNetwork, cuts: list[Edge], max_rank: int
-) -> bool:
-    shape = NetworkShape.from_network(net)
-    est_edges = dict(shape.edges)
-    for e in cuts:
-        est_edges[e] = 1  # sliced away, but keeps adjacency for the search
-    try:
-        find_optimal_path(
-            NetworkShape(shape.nodes, est_edges),
-            max_rank,
-            max_states=PLANNER_STATE_BUDGET,
-        )
-        return True
-    except PathSearchError:
-        return False
-
-
-def plan_cuts(
-    net: TensorNetwork,
-    target_max_rank: int | None = None,
-    explicit_edges: list[Edge] | None = None,
-) -> CutPlan:
-    """Choose edges to slice so one slice fits the rank cap.
-
-    Explicit edges are returned verbatim.  Automatic mode repeatedly adds the
-    minimum-edge-count separator found by sweeping the Fiedler ordering (the
-    thinnest place of the lattice) until the path search succeeds on a slice
-    under the cap.
-    """
-    if explicit_edges is not None:
-        return CutPlan.for_network(net, [tuple(sorted(e)) for e in explicit_edges])
-    if target_max_rank is None:
-        target_max_rank = treewidth_bound(net) + 1
-
-    cuts: list[Edge] = []
-    if _search_ok(net, cuts, target_max_rank):
-        return CutPlan.for_network(net, cuts)
-
-    shape = NetworkShape.from_network(net)
+def _separator_cuts(shape: NetworkShape) -> Iterator[list[Edge]]:
+    """Growing cut sets: each adds the uncut edges crossing the thinnest
+    split of the Fiedler ordering (the thinnest place of the lattice)."""
     order = _fiedler_order(shape)
+    cuts: list[Edge] = []
     for _ in range(len(order)):
         best: list[Edge] | None = None
         for split in range(1, len(order)):
@@ -205,10 +171,59 @@ def plan_cuts(
             if crossing and (best is None or len(crossing) < len(best)):
                 best = crossing
         if not best:
-            break
-        cuts.extend(best)
-        if _search_ok(net, cuts, target_max_rank):
-            return CutPlan.for_network(net, cuts)
+            return
+        cuts = cuts + best
+        yield cuts
+
+
+PLANNER_STATE_BUDGET = 1_000_000
+
+
+def _slice_plan(
+    net: TensorNetwork,
+    cuts: list[Edge],
+    max_rank: int,
+    max_states: int | None = None,
+) -> CutPlan:
+    """The plan slicing ``cuts``, with the path found on its slice-0 shape.
+
+    Cut edges enter the search at extent 1, so adjacency survives; every
+    slice is structurally identical and reuses the path.
+    """
+    plan = CutPlan.for_network(net, cuts)
+    shape = NetworkShape.from_network(net)
+    edges = {**shape.edges, **dict.fromkeys(plan.cut_edges, 1)}
+    path, score = find_optimal_path(
+        NetworkShape(shape.nodes, edges), max_rank, max_states=max_states
+    )
+    return replace(plan, path=tuple(path), score=score)
+
+
+def plan_cuts(
+    net: TensorNetwork,
+    target_max_rank: int | None = None,
+    explicit_edges: list[Edge] | None = None,
+) -> CutPlan:
+    """Choose edges to slice so one slice fits the rank cap, and the path
+    that contracts every slice.
+
+    Explicit edges (an empty list for no cuts) are kept verbatim and their
+    slice is searched without a state budget.  Automatic mode tries no cuts,
+    then each of ``_separator_cuts`` in turn, until a search capped at
+    ``PLANNER_STATE_BUDGET`` states succeeds on a slice under the cap.  The
+    cap defaults to ``treewidth_bound + 1``.
+    """
+    shape = NetworkShape.from_network(net)
+    if target_max_rank is None:
+        target_max_rank = treewidth_bound(shape) + 1
+    if explicit_edges is not None:
+        edges = [tuple(sorted(e)) for e in explicit_edges]
+        return _slice_plan(net, edges, target_max_rank)
+    for cuts in chain([[]], _separator_cuts(shape)):
+        try:
+            return _slice_plan(net, cuts, target_max_rank, PLANNER_STATE_BUDGET)
+        except PathSearchError:
+            continue
     raise CutPlanError(
         f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts",
         CutPlan.for_network(net, cuts),
@@ -291,6 +306,20 @@ class AmplitudeStats:
         return rec
 
 
+def overlap_network(
+    circuit: Circuit,
+    in_bits: str,
+    out_bits: str,
+    split_cycle: int | None = None,
+    tolerance: float = 1e-12,
+) -> TensorNetwork:
+    """fuse -> two-sided evolution -> closed overlap network of
+    <out_bits|U|in_bits>."""
+    fused = fuse_single_qubit_gates(circuit)
+    phi, psi = two_sided_evolve(fused, in_bits, out_bits, split_cycle, tolerance)
+    return build_overlap_network(phi, psi)
+
+
 def compute_amplitude(
     circuit: Circuit,
     in_bits: str,
@@ -302,31 +331,15 @@ def compute_amplitude(
 ) -> AmplitudeStats:
     """Full single-amplitude pipeline.
 
-    fuse -> two-sided evolution -> overlap network -> cut plan -> one path
-    search on slice 0, reused for every slice -> sum of slice scalars.
+    overlap network -> cut plan, whose one path search on slice 0 is reused
+    for every slice -> sum of slice scalars.  ``cuts`` is "auto", None (no
+    cuts) or a list of edges.
     """
     start = time.perf_counter()
-    fused = fuse_single_qubit_gates(circuit)
-    phi, psi = two_sided_evolve(fused, in_bits, out_bits, split_cycle, tolerance)
-    net = build_overlap_network(phi, psi)
-
-    if cuts is None:
-        plan = CutPlan((), ())
-    elif cuts == "auto":
-        plan = plan_cuts(net, max_rank)
-    else:
-        plan = plan_cuts(net, explicit_edges=list(cuts))
-
-    if max_rank is None:
-        max_rank = treewidth_bound(net) + 1
-
-    # path search runs once, on the slice-0 estimate (cut edges at extent 1
-    # so adjacency survives); slices are structurally identical
-    shape = net.shape()
-    est_edges = dict(shape.edges)
-    for e in plan.cut_edges:
-        est_edges[e] = 1
-    path, score = find_optimal_path(NetworkShape(shape.nodes, est_edges), max_rank)
+    net = overlap_network(circuit, in_bits, out_bits, split_cycle, tolerance)
+    explicit = None if cuts == "auto" else list(cuts or ())
+    plan = plan_cuts(net, max_rank, explicit)
+    path = list(plan.path)
 
     total = 0.0 + 0.0j
     peak = 0
@@ -340,5 +353,5 @@ def compute_amplitude(
 
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
-        total, peak, multiplies, plan.slice_count, path, score, ms
+        total, peak, multiplies, plan.slice_count, path, plan.score, ms
     )

@@ -12,16 +12,12 @@ Scores are plain Python integers, so accumulation never overflows.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "NetworkShape",
     "PathSearchError",
-    "score_increment",
-    "connectivity",
-    "neighbours",
     "find_optimal_path",
     "exhaustive_path_oracle",
     "treewidth_bound",
@@ -46,27 +42,26 @@ class NetworkShape:
 
     nodes: tuple[int, ...]
     edges: dict[Edge, int]
+    _adj: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        adj: dict[int, set[int]] = {q: set() for q in self.nodes}
+        for k, l in self.edges:
+            adj[k].add(l)
+            adj[l].add(k)
+        object.__setattr__(self, "_adj", {q: frozenset(v) for q, v in adj.items()})
 
     @classmethod
     def from_network(cls, net) -> "NetworkShape":
         return cls(tuple(sorted(net.tensors)), dict(net.edges))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {q: set() for q in self.nodes}
-        for k, l in self.edges:
-            adj[k].add(l)
-            adj[l].add(k)
-        return adj
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        return self._adj
 
     def boundary(self) -> set[int]:
-        adj = self.adjacency()
-        dmax = max((len(v) for v in adj.values()), default=0)
-        b = {q for q, v in adj.items() if len(v) < dmax}
+        dmax = max((len(v) for v in self._adj.values()), default=0)
+        b = {q for q, v in self._adj.items() if len(v) < dmax}
         return b if b else set(self.nodes)
-
-
-def _as_shape(net) -> NetworkShape:
-    return net if isinstance(net, NetworkShape) else NetworkShape.from_network(net)
 
 
 def _step(
@@ -96,19 +91,17 @@ def _step(
     return free_a * free_b * shared, rank
 
 
-def score_increment(path: Sequence[int], next_qubit: int, net) -> int:
+def _score_increment(path: Sequence[int], next_qubit: int, shape: NetworkShape) -> int:
     """Cost(C^{path}, C^{next_qubit}) from frontier extents only."""
-    shape = _as_shape(net)
     if next_qubit in path:
         raise ValueError(f"qubit {next_qubit} already on the path")
     cost, _ = _step(shape, frozenset(path), next_qubit)
     return cost
 
 
-def connectivity(path: Sequence[int], net) -> int:
+def _connectivity(path: Sequence[int], shape: NetworkShape) -> int:
     """-1 if the path's induced subgraph is connected, else the single
     isolated qubit's index.  Two or more isolated components are invalid."""
-    shape = _as_shape(net)
     if not path:
         raise ValueError("empty path")
     adj = shape.adjacency()
@@ -139,7 +132,7 @@ def connectivity(path: Sequence[int], net) -> int:
 
 
 def _extend_c(
-    adj: Mapping[int, set[int]], members: frozenset[int], c: int, q: int
+    adj: Mapping[int, frozenset[int]], members: frozenset[int], c: int, q: int
 ) -> int | None:
     """Connectivity flag after adding ``q``; None when the extension is
     forbidden by the almost-connected rule."""
@@ -152,37 +145,37 @@ def _extend_c(
     return None
 
 
-def neighbours(
-    path: Sequence[int],
-    net,
-    max_rank: int | None = None,
-    c: int | None = None,
-    connectivity_pruning: bool = True,
-) -> list[int]:
-    """Candidate next qubits satisfying the rank cap and connectivity rule."""
-    shape = _as_shape(net)
-    members = frozenset(path)
-    if c is None:
-        c = connectivity(path, shape) if path else -1
+def _candidates(
+    shape: NetworkShape,
+    members: frozenset[int],
+    c: int,
+    max_rank: int | None,
+    connectivity_pruning: bool,
+) -> Iterator[tuple[int, int, int]]:
+    """Admissible next qubits after ``members`` (connectivity flag ``c``),
+    in node order, as ``(qubit, step cost, connectivity flag after it)``.
+
+    A candidate must keep the path almost connected (when pruning) and leave
+    an intermediate of rank at most ``max_rank``.
+    """
     adj = shape.adjacency()
-    out = []
     for q in shape.nodes:
         if q in members:
             continue
-        if connectivity_pruning and path:
-            if _extend_c(adj, members, c, q) is None:
+        if connectivity_pruning:
+            nc = _extend_c(adj, members, c, q)
+            if nc is None:
                 continue
-        if max_rank is not None:
-            _, rank = _step(shape, members, q)
-            if rank > max_rank:
-                continue
-        out.append(q)
-    return out
+        else:
+            nc = -1
+        cost, rank = _step(shape, members, q)
+        if max_rank is not None and rank > max_rank:
+            continue
+        yield q, cost, nc
 
 
-def treewidth_bound(net) -> int:
+def treewidth_bound(shape: NetworkShape) -> int:
     """Greedy min-degree elimination upper bound on the graph treewidth."""
-    shape = _as_shape(net)
     adj = {q: set(v) for q, v in shape.adjacency().items()}
     width = 0
     while adj:
@@ -196,29 +189,24 @@ def treewidth_bound(net) -> int:
 
 
 def find_optimal_path(
-    net,
+    shape: NetworkShape,
     max_rank: int | None = None,
-    seeds: Iterable[int] | None = None,
     connectivity_pruning: bool = True,
     max_states: int | None = None,
 ) -> tuple[list[int], int]:
     """Best-first search for a cheap full contraction path.
 
-    Pops the least-score partial path, finalizes its qubit subset once, and
-    pushes all admissible one-qubit extensions.  The first full path popped
-    is returned.  Ties break on (score, longer path first, lexicographic
-    path) for deterministic runs.
+    Seeds every boundary node, pops the least-score partial path, finalizes
+    its qubit subset once, and pushes all admissible one-qubit extensions.
+    The first full path popped is returned.  Ties break on (score, longer
+    path first, lexicographic path) for deterministic runs.
     """
-    shape = _as_shape(net)
     n = len(shape.nodes)
     if n == 0:
         raise PathSearchError("empty network")
-    adj = shape.adjacency()
-    if seeds is None:
-        seeds = shape.boundary()
 
     heap: list[tuple[int, int, tuple[int, ...], int]] = []
-    for q in sorted(set(seeds)):
+    for q in sorted(shape.boundary()):
         heapq.heappush(heap, (0, -1, (q,), -1))
     visited: set[frozenset[int]] = set()
     largest = 0
@@ -233,18 +221,9 @@ def find_optimal_path(
         largest = max(largest, len(path))
         if len(path) == n:
             return list(path), score
-        for q in shape.nodes:
-            if q in members:
-                continue
-            if connectivity_pruning:
-                nc = _extend_c(adj, members, c, q)
-                if nc is None:
-                    continue
-            else:
-                nc = -1
-            cost, rank = _step(shape, members, q)
-            if max_rank is not None and rank > max_rank:
-                continue
+        for q, cost, nc in _candidates(
+            shape, members, c, max_rank, connectivity_pruning
+        ):
             heapq.heappush(heap, (score + cost, -(len(path) + 1), path + (q,), nc))
             pushed += 1
             if max_states is not None and pushed > max_states:
@@ -258,9 +237,8 @@ def find_optimal_path(
     )
 
 
-def exhaustive_path_oracle(net) -> tuple[list[int], int]:
+def exhaustive_path_oracle(shape: NetworkShape) -> tuple[list[int], int]:
     """Global minimum score over all N! absorption orders (test support)."""
-    shape = _as_shape(net)
     nodes = sorted(shape.nodes)
     n = len(nodes)
     if n > EXHAUSTIVE_NODE_CAP:

@@ -24,7 +24,7 @@ from tnsim.circuit import (
     iswap_matrix,
     split_gate_matrix,
 )
-from tnsim.cli import ErrorModel, estimate_workload, main
+from tnsim.cli import main
 from tnsim.network import (
     build_overlap_network,
     compute_amplitude,
@@ -40,6 +40,7 @@ from tnsim.pathfind import (
     treewidth_bound,
 )
 from tnsim.tns import apply_gate, init_state, two_sided_evolve
+from tnsim.workload import ErrorModel, estimate_workload
 
 from conftest import random_bits
 from test_tns import state_vector
@@ -185,7 +186,7 @@ def test_criterion_05_slice_sum_identity(report):
         fused = fuse_single_qubit_gates(circuit)
         phi, psi = two_sided_evolve(fused, random_bits(rng, n), random_bits(rng, n))
         net = build_overlap_network(phi, psi)
-        order, _ = find_optimal_path(net.shape())
+        order, _ = find_optimal_path(NetworkShape.from_network(net))
         whole = contract_along_path(net, order)[0]
         edges = rnd.sample(sorted(net.edges), rnd.randint(1, 3))
         plan = plan_cuts(net, explicit_edges=edges)

@@ -16,7 +16,6 @@ from tnsim.circuit import (
     edge_key,
     fsim_matrix,
     fuse_single_qubit_gates,
-    gate_split,
     generate_lattice,
     generate_rqc,
     identity2,
@@ -26,6 +25,7 @@ from tnsim.circuit import (
     split_gate_matrix,
 )
 from tnsim.oracle import amplitude_oracle
+from tnsim.pathfind import NetworkShape
 
 from conftest import random_bits
 
@@ -36,6 +36,10 @@ def reconstruct(sg) -> np.ndarray:
 
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def lattice_shape(g: CircuitGraph) -> NetworkShape:
+    return NetworkShape(tuple(range(g.num_qubits)), dict.fromkeys(g.edges, 2))
 
 
 class TestGateSplit:
@@ -56,7 +60,7 @@ class TestGateSplit:
 
     def test_gate_wrapper(self):
         g = Gate((0, 1), cz_matrix(), 0, "cz")
-        assert gate_split(g).rank == 2
+        assert split_gate_matrix(g.matrix).rank == 2
 
     def test_non_unitary_warns_but_splits(self):
         with pytest.warns(UserWarning, match="non-unitary"):
@@ -130,12 +134,12 @@ class TestLattices:
         g = generate_lattice("square", 2, 2)
         assert g.num_qubits == 4
         assert len(g.edges) == 4
-        assert g.boundary() == {0, 1, 2, 3}
+        assert lattice_shape(g).boundary() == {0, 1, 2, 3}
 
     def test_square_3x3_center_excluded(self):
         g = generate_lattice("square", 3, 3)
         assert g.degree(4) == 4
-        assert 4 not in g.boundary()
+        assert 4 not in lattice_shape(g).boundary()
 
     def test_sycamore_54(self):
         g = generate_lattice("sycamore-like", 9, 6)
@@ -240,6 +244,29 @@ class TestFileFormat:
     def test_disconnected_graph_rejected(self):
         doc = {"num_qubits": 4, "edges": [[0, 1], [2, 3]], "cycles": [], "single_qubit": []}
         with pytest.raises(CircuitFormatError, match="not connected"):
+            parse_circuit(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("edges", [["a", 1]]),
+            ("edges", {"0": 1}),
+            ("cycles", {"0": []}),
+            ("cycles", [5]),
+            ("cycles", [["cz"]]),
+            ("cycles", [[{"pair": [0, 1], "gate": "fsim", "params": [1, 2]}]]),
+            ("cycles", [[{"pair": [0, 1], "gate": "matrix", "matrix": 4}]]),
+            ("single_qubit", [[0, 0]]),
+        ],
+        ids=[
+            "edge-endpoint", "edges-object", "cycles-object", "cycle-scalar",
+            "gate-string", "fsim-params-list", "matrix-scalar", "single-list",
+        ],
+    )
+    def test_malformed_structure_rejected(self, field, value):
+        doc = {"num_qubits": 2, "edges": [[0, 1]], "cycles": [], "single_qubit": []}
+        doc[field] = value
+        with pytest.raises(CircuitFormatError):
             parse_circuit(json.dumps(doc))
 
     def test_unknown_gate_name(self):

@@ -4,8 +4,9 @@ import math
 import pytest
 
 from tnsim.circuit import Circuit, CircuitGraph, Gate, cz_matrix, parse_circuit
-from tnsim.cli import ErrorModel, WorkloadError, estimate_workload, main
+from tnsim.cli import main
 from tnsim.oracle import amplitude_oracle
+from tnsim.workload import ErrorModel, WorkloadError, estimate_workload
 
 
 @pytest.fixture
@@ -159,6 +160,30 @@ class TestAmplitude:
         assert rc == 0
         assert json.loads(out)["peak_rank"] <= 4
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ('{"max-rank": 4, "max-rnak": 3}', "unknown key 'max-rnak'"),
+            ("[4]", "must be an object"),
+            ('{"max-rank": ', "JSONDecodeError"),
+            (None, "FileNotFoundError"),
+        ],
+        ids=["unknown-key", "not-an-object", "invalid-json", "missing-file"],
+    )
+    def test_bad_config_is_json_error(
+        self, capsys, circuit_file, tmp_path, content, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        rc, out, err = run(
+            capsys,
+            ["--config", str(cfg), "amplitude", "-c", circuit_file,
+             "--in", "0000", "--out", "0000"],
+        )
+        assert rc == 1 and out == ""
+        assert message in json.loads(err)["error"]
+
 
 class TestVerify:
     def test_oracle_deltas_are_tiny(self, capsys, circuit_file):
@@ -213,11 +238,3 @@ class TestEstimateWorkloadCommand:
         rec = json.loads(out)
         assert rec["fidelity"] == 1.0 and rec["required_samples"] == 9
 
-
-class TestBench:
-    def test_reports_timing(self, capsys, circuit_file):
-        rc, out, _ = run(capsys, ["bench", "-c", circuit_file])
-        assert rc == 0
-        rec = json.loads(out)
-        assert rec["total_seconds"] > 0
-        assert "amplitude" in rec

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tnsim import network
 from tnsim.circuit import (
     Circuit,
     CircuitGraph,
@@ -11,6 +12,7 @@ from tnsim.circuit import (
     generate_rqc,
 )
 from tnsim.network import (
+    PLANNER_STATE_BUDGET,
     CutPlan,
     CutPlanError,
     build_overlap_network,
@@ -20,6 +22,7 @@ from tnsim.network import (
     slice_network,
 )
 from tnsim.oracle import amplitude_oracle
+from tnsim.pathfind import NetworkShape, find_optimal_path
 from tnsim.tns import init_state, two_sided_evolve
 
 from conftest import random_bits
@@ -86,6 +89,9 @@ class TestPlanCuts:
         plan = plan_cuts(net, target_max_rank=10)
         assert plan.cut_edges == ()
         assert plan.slice_count == 1
+        # the plan carries the path of the search that validated it
+        shape = NetworkShape.from_network(net)
+        assert (list(plan.path), plan.score) == find_optimal_path(shape, 10)
 
     def test_auto_cuts_unlock_a_tight_cap(self):
         graph = generate_lattice("square", 3, 4)
@@ -207,6 +213,25 @@ class TestComputeAmplitude:
         assert "wall_time_ms" not in rec
         assert rec["path_score"] == str(stats.path_score)
         assert "wall_time_ms" in stats.record(timing=True)
+
+    @pytest.mark.parametrize(
+        "cuts", ["auto", None, [(1, 2)]], ids=["auto", "none", "explicit"]
+    )
+    def test_one_path_search_per_amplitude(self, monkeypatch, cuts):
+        budgets = []
+        search = network.find_optimal_path
+
+        def counted(*args, **kwargs):
+            budgets.append(kwargs.get("max_states"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(network, "find_optimal_path", counted)
+        graph = generate_lattice("square", 2, 3)
+        c = generate_rqc(graph, 4, seed=3)
+        stats = compute_amplitude(c, "0" * 6, "1" * 6, cuts=cuts)
+        if cuts == "auto":  # no cuts needed: the first budgeted probe succeeds
+            assert stats.slice_count == 1
+        assert budgets == [PLANNER_STATE_BUDGET if cuts == "auto" else None]
 
     def test_rank_cap_respected_with_cuts(self):
         graph = generate_lattice("square", 3, 3)

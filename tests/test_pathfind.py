@@ -3,11 +3,11 @@ import pytest
 from tnsim.pathfind import (
     NetworkShape,
     PathSearchError,
-    connectivity,
+    _candidates,
+    _connectivity,
+    _score_increment,
     exhaustive_path_oracle,
     find_optimal_path,
-    neighbours,
-    score_increment,
     treewidth_bound,
 )
 
@@ -43,53 +43,53 @@ class TestScoreIncrement:
     def test_chain_example(self):
         net = path_shape(4)
         # absorbing 2 into {0,1}: shared bond (1,2)=2, open bond (2,3)=2
-        assert score_increment([0, 1], 2, net) == 4
+        assert _score_increment([0, 1], 2, net) == 4
 
     def test_first_absorption_includes_both_frontiers(self):
         net = path_shape(3)
         # {0} + 1: shared (0,1)=2 times open (1,2)=2
-        assert score_increment([0], 1, net) == 4
+        assert _score_increment([0], 1, net) == 4
         # {0} + 2 (outer product): open (0,1)=2 times open (1,2)=2
-        assert score_increment([0], 2, net) == 4
+        assert _score_increment([0], 2, net) == 4
 
     def test_internal_edges_do_not_count(self):
         net = grid_shape(2, 2)
         # {0,1,2} + 3 closes two bonds; no open edges remain
-        assert score_increment([0, 1, 2], 3, net) == 4
+        assert _score_increment([0, 1, 2], 3, net) == 4
 
     def test_matches_exhaustive_oracle_cost(self, rnd):
         for _ in range(10):
             net = random_network_shape(rnd, 6)
             path, score = exhaustive_path_oracle(net)
             total = sum(
-                score_increment(path[:i], path[i], net) for i in range(1, len(path))
+                _score_increment(path[:i], path[i], net) for i in range(1, len(path))
             )
             assert total == score
 
     def test_repeated_qubit_rejected(self):
         with pytest.raises(ValueError, match="already"):
-            score_increment([0, 1], 1, path_shape(3))
+            _score_increment([0, 1], 1, path_shape(3))
 
 
 class TestConnectivity:
     def test_connected_path(self):
-        assert connectivity([0, 1, 2], path_shape(4)) == -1
+        assert _connectivity([0, 1, 2], path_shape(4)) == -1
 
     def test_single_isolated_qubit(self):
-        assert connectivity([0, 3], path_shape(4)) == 3
+        assert _connectivity([0, 3], path_shape(4)) == 3
 
     def test_isolated_is_most_recent(self):
         net = grid_shape(2, 3)
         # {0, 5}: both singletons; 5 was added last
-        assert connectivity([0, 5], net) == 5
+        assert _connectivity([0, 5], net) == 5
 
     def test_two_isolated_components_invalid(self):
         with pytest.raises(ValueError, match="isolated"):
-            connectivity([0, 2, 5], path_shape(6))
+            _connectivity([0, 2, 5], path_shape(6))
 
     def test_empty_path_invalid(self):
         with pytest.raises(ValueError, match="empty"):
-            connectivity([], path_shape(3))
+            _connectivity([], path_shape(3))
 
     def test_random_trajectories_against_component_count(self, rnd):
         for _ in range(30):
@@ -115,24 +115,24 @@ class TestConnectivity:
                     comps.append(comp)
                 singles = [c for c in comps if len(c) == 1]
                 if len(comps) == 1:
-                    assert connectivity(prefix, net) == -1
+                    assert _connectivity(prefix, net) == -1
                 elif len(comps) == 2 and singles:
-                    got = connectivity(prefix, net)
+                    got = _connectivity(prefix, net)
                     assert {got} in singles
                 else:
                     with pytest.raises(ValueError):
-                        connectivity(prefix, net)
+                        _connectivity(prefix, net)
 
 
 class TestNeighbours:
     def predicate(self, net: NetworkShape, path: list[int], q: int, cap) -> bool:
-        """Public-API oracle for candidate admissibility."""
+        """Oracle for candidate admissibility from whole-path connectivity."""
         extended = path + [q]
         try:
-            new_c = connectivity(extended, net)
+            new_c = _connectivity(extended, net)
         except ValueError:
             return False
-        if connectivity(path, net) != -1 and new_c != -1:
+        if _connectivity(path, net) != -1 and new_c != -1:
             return False  # a pending isolated qubit must be reconnected
         if cap is not None and boundary_rank(net, set(extended)) > cap:
             return False
@@ -146,22 +146,27 @@ class TestNeighbours:
             rnd.shuffle(order)
             path = order[: rnd.randint(1, 8)]
             try:
-                connectivity(path, net)
+                c = _connectivity(path, net)
             except ValueError:
                 continue
             expected = [q for q in net.nodes if q not in path
                         and self.predicate(net, path, q, cap)]
-            assert neighbours(path, net, max_rank=cap) == expected
+            found = list(_candidates(net, frozenset(path), c, cap, True))
+            assert [q for q, _, _ in found] == expected
+            for q, cost, nc in found:
+                assert cost == _score_increment(path, q, net)
+                assert nc == _connectivity(path + [q], net)
 
     def test_without_connectivity_pruning(self):
         net = path_shape(5)
-        got = neighbours([0], net, connectivity_pruning=False)
-        assert got == [1, 2, 3, 4]
+        got = _candidates(net, frozenset([0]), -1, None, False)
+        assert [q for q, _, _ in got] == [1, 2, 3, 4]
 
     def test_rank_cap_filters(self):
         net = grid_shape(3, 3)
         # absorbing the centre alone opens four extent-2 bonds
-        assert 4 not in neighbours([0], net, max_rank=3, connectivity_pruning=False)
+        got = _candidates(net, frozenset([0]), -1, 3, False)
+        assert 4 not in [q for q, _, _ in got]
 
 
 class TestTreewidthBound:
@@ -206,7 +211,7 @@ class TestFindOptimalPath:
             path, score = find_optimal_path(net)
             assert sorted(path) == sorted(net.nodes)
             total = sum(
-                score_increment(path[:i], path[i], net) for i in range(1, len(path))
+                _score_increment(path[:i], path[i], net) for i in range(1, len(path))
             )
             assert total == score
             _, best = exhaustive_path_oracle(net)
@@ -215,11 +220,6 @@ class TestFindOptimalPath:
     def test_deterministic(self, rnd):
         net = random_network_shape(rnd, 8)
         assert find_optimal_path(net) == find_optimal_path(net)
-
-    def test_seed_restriction_honoured(self):
-        net = path_shape(4)
-        path, _ = find_optimal_path(net, seeds=[3])
-        assert path[0] == 3
 
     def test_infeasible_cap_reports_largest_subset(self):
         net = grid_shape(3, 3)
