@@ -177,10 +177,9 @@ class Gate:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
 
-    def is_unitary(self, atol: float = UNITARY_ATOL) -> bool:
-        return bool(
-            np.allclose(self.matrix @ self.matrix.conj().T, np.eye(4), atol=atol)
-        )
+    def is_unitary(self) -> bool:
+        m = self.matrix
+        return bool(np.allclose(m @ m.conj().T, np.eye(4), atol=UNITARY_ATOL))
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ class SplitGate:
 # Gate splitting and fusion
 # ---------------------------------------------------------------------------
 
-def split_gate_matrix(matrix: np.ndarray, tolerance: float = 1e-12) -> SplitGate:
+def split_gate_matrix(matrix: np.ndarray) -> SplitGate:
     """Split a 4x4 gate matrix into two (2, 2, chi) factors via SVD.
 
     Singular values are distributed symmetrically (each factor absorbs
@@ -274,7 +273,7 @@ def split_gate_matrix(matrix: np.ndarray, tolerance: float = 1e-12) -> SplitGate
         m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3),
         ("kp", "k", "lp", "l"),
     )
-    u, s, v, chi = svd_factorize(regrouped, [0, 1], tolerance, new_label="s")
+    u, s, v, chi = svd_factorize(regrouped, [0, 1], new_label="s")
     root = np.sqrt(s)
     p = Tensor(u.data * root[None, None, :], ("kp", "k", "s"))
     q = Tensor(
@@ -402,28 +401,21 @@ def _edge_coloring(graph: CircuitGraph) -> list[list[Edge]]:
 
 
 def generate_rqc(
-    graph: CircuitGraph,
-    depth: int,
-    seed: int,
-    gate_family: str = "fsim",
-    fsim_params: tuple[float, float] = DEFAULT_FSIM_PARAMS,
-    single_qubit_set: tuple[np.ndarray, ...] = DEFAULT_SINGLE_QUBIT_SET,
-    activation_sequence: list[int] | None = None,
+    graph: CircuitGraph, depth: int, seed: int, gate_family: str = "fsim"
 ) -> Circuit:
     """Deterministic random circuit on ``graph``.
 
-    Each cycle applies the chosen two-qubit gate over one edge-coloring
-    subset of the graph's edges, rotating through ``activation_sequence``
-    (default: the color classes in order), preceded by a layer of random
-    single-qubit rotations drawn from ``single_qubit_set``.
+    Cycle d applies the chosen two-qubit gate (fsim at
+    ``DEFAULT_FSIM_PARAMS``) over the edges of color class d mod the class
+    count of the graph's edge coloring, preceded by a layer of single-qubit
+    rotations drawn from ``DEFAULT_SINGLE_QUBIT_SET``.
     """
     if depth < 1:
         raise CircuitFormatError("depth must be >= 1")
     if gate_family == "fsim":
-        m2 = fsim_matrix(*fsim_params)
-        name, params = "fsim", {
-            "theta": fsim_params[0], "phi": fsim_params[1]
-        }
+        theta, phi = DEFAULT_FSIM_PARAMS
+        m2, name = fsim_matrix(theta, phi), "fsim"
+        params = {"theta": theta, "phi": phi}
     elif gate_family == "cz":
         m2, name, params = cz_matrix(), "cz", {}
     elif gate_family == "iswap":
@@ -433,17 +425,15 @@ def generate_rqc(
 
     rng = np.random.default_rng(seed)
     classes = _edge_coloring(graph)
-    if activation_sequence is None:
-        activation_sequence = list(range(len(classes)))
 
     cycles: list[list[Gate]] = []
     singles: list[SingleQubitGate] = []
     for d in range(depth):
         for q in range(graph.num_qubits):
-            u = single_qubit_set[rng.integers(len(single_qubit_set))]
+            u = DEFAULT_SINGLE_QUBIT_SET[rng.integers(len(DEFAULT_SINGLE_QUBIT_SET))]
             singles.append(SingleQubitGate(q, d, u))
-        color = activation_sequence[d % len(activation_sequence)]
-        cycles.append([Gate(e, m2, d, name, params) for e in classes[color]])
+        color = classes[d % len(classes)]
+        cycles.append([Gate(e, m2, d, name, params) for e in color])
     return Circuit(graph, tuple(tuple(c) for c in cycles), tuple(singles))
 
 

@@ -48,8 +48,8 @@ SYCAMORE_SIZES = {54: (9, 6), 60: (10, 6), 66: (11, 6), 72: (12, 6), 104: (13, 8
 # CLI plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(record: dict, out=None) -> None:
-    print(json.dumps(record, sort_keys=True), file=out or sys.stdout)
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True))
 
 
 def _fail(message: str) -> int:
@@ -123,23 +123,20 @@ def _cmd_amplitude(args) -> int:
 
 
 def _verify_one(task) -> tuple[str, float]:
-    data, in_bits, out_bits, use_oracle = task
-    circuit = parse_circuit(data)
+    circuit, in_bits, out_bits, use_oracle = task
+    # first, so the oracle's qubit cap refuses a circuit before any amplitude
+    ref = amplitude_oracle(circuit, in_bits, out_bits) if use_oracle else 0
     amp = compute_amplitude(circuit, in_bits, out_bits).amplitude
-    if use_oracle:
-        ref = amplitude_oracle(circuit, in_bits, out_bits)
-        return out_bits, abs(amp - ref)
-    return out_bits, abs(amp)
+    return out_bits, abs(amp - ref)
 
 
 def _cmd_verify(args) -> int:
-    data = open(args.circuit, "rb").read()
-    circuit = parse_circuit(data)
+    circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
     rng = np.random.default_rng(args.seed)
     in_bits = "0" * n
     tasks = [
-        (data, in_bits, "".join(rng.choice(["0", "1"], n)), args.oracle)
+        (circuit, in_bits, "".join(rng.choice(["0", "1"], n)), args.oracle)
         for _ in range(args.samples)
     ]
     workers = args.workers or int(os.environ.get("TNSIM_WORKERS", "1"))
@@ -183,7 +180,8 @@ def _cmd_estimate_workload(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """``defaults`` maps a subcommand to values replacing its flag defaults."""
     parser = argparse.ArgumentParser(
         prog="tnsim",
         description="Single-amplitude random-quantum-circuit simulator on "
@@ -237,34 +235,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", type=float, default=SYCAMORE_EQ)
     p.set_defaults(func=_cmd_estimate_workload)
 
+    for command, values in (defaults or {}).items():
+        sub.choices[command].set_defaults(**values)
     return parser
 
 
-def _apply_config(args, path: str) -> None:
-    """Set the subcommand's flags that are still None (neither given nor
-    defaulted) from the JSON object in ``path``; a key naming no flag of the
-    subcommand is an error."""
+def _read_config(args, path: str) -> dict:
+    """The JSON object in ``path`` as flag values for ``args.command``; a key
+    naming no flag of the subcommand is an error."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config {path}: top level must be an object")
     flags = set(vars(args)) - {"command", "config", "func"}
+    values = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if attr not in flags:
             raise ValueError(
                 f"config {path}: unknown key {key!r} for {args.command}"
             )
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        values[attr] = value
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, args.config)
+            # config values replace the built-in defaults; given flags win
+            config = _read_config(args, args.config)
+            args = build_parser({args.command: config}).parse_args(argv)
         return args.func(args)
     except (
         CircuitFormatError,

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
 from math import prod
+from operator import xor
 from typing import Iterator
 
 import numpy as np
@@ -156,23 +157,23 @@ def _fiedler_order(shape: NetworkShape) -> list[int]:
 
 def _separator_cuts(shape: NetworkShape) -> Iterator[list[Edge]]:
     """Growing cut sets: each adds the uncut edges crossing the thinnest
-    split of the Fiedler ordering (the thinnest place of the lattice)."""
+    split of the Fiedler ordering (the thinnest place of the lattice).
+
+    A split's crossing edges are the open edges of the prefix before it,
+    kept as a running symmetric difference along the order.
+    """
     order = _fiedler_order(shape)
+    splits = list(accumulate((shape.open_edges((q,)) for q in order[:-1]), xor))
     cuts: list[Edge] = []
     for _ in range(len(order)):
-        best: list[Edge] | None = None
-        for split in range(1, len(order)):
-            left = set(order[:split])
-            crossing = sorted(
-                e
-                for e in shape.edges
-                if e not in cuts and ((e[0] in left) != (e[1] in left))
-            )
+        best: frozenset[Edge] | None = None
+        for split in splits:
+            crossing = split.difference(cuts)
             if crossing and (best is None or len(crossing) < len(best)):
                 best = crossing
         if not best:
             return
-        cuts = cuts + best
+        cuts = cuts + sorted(best)
         yield cuts
 
 
@@ -311,12 +312,11 @@ def overlap_network(
     in_bits: str,
     out_bits: str,
     split_cycle: int | None = None,
-    tolerance: float = 1e-12,
 ) -> TensorNetwork:
     """fuse -> two-sided evolution -> closed overlap network of
     <out_bits|U|in_bits>."""
     fused = fuse_single_qubit_gates(circuit)
-    phi, psi = two_sided_evolve(fused, in_bits, out_bits, split_cycle, tolerance)
+    phi, psi = two_sided_evolve(fused, in_bits, out_bits, split_cycle)
     return build_overlap_network(phi, psi)
 
 
@@ -327,7 +327,6 @@ def compute_amplitude(
     split_cycle: int | None = None,
     cuts: str | list[Edge] | None = "auto",
     max_rank: int | None = None,
-    tolerance: float = 1e-12,
 ) -> AmplitudeStats:
     """Full single-amplitude pipeline.
 
@@ -336,7 +335,7 @@ def compute_amplitude(
     cuts) or a list of edges.
     """
     start = time.perf_counter()
-    net = overlap_network(circuit, in_bits, out_bits, split_cycle, tolerance)
+    net = overlap_network(circuit, in_bits, out_bits, split_cycle)
     explicit = None if cuts == "auto" else list(cuts or ())
     plan = plan_cuts(net, max_rank, explicit)
     path = list(plan.path)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from math import prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "NetworkShape",
@@ -38,18 +39,22 @@ class PathSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkShape:
-    """Symbolic view of a closed tensor network: nodes plus edge extents."""
+    """Symbolic view of a closed tensor network: nodes plus edge extents,
+    with each node's incident edges and neighbours built once."""
 
     nodes: tuple[int, ...]
     edges: dict[Edge, int]
+    _legs: dict[int, frozenset[Edge]] = field(init=False, repr=False, compare=False)
     _adj: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        adj: dict[int, set[int]] = {q: set() for q in self.nodes}
-        for k, l in self.edges:
-            adj[k].add(l)
-            adj[l].add(k)
-        object.__setattr__(self, "_adj", {q: frozenset(v) for q, v in adj.items()})
+        legs: dict[int, set[Edge]] = {q: set() for q in self.nodes}
+        for e in self.edges:
+            legs[e[0]].add(e)
+            legs[e[1]].add(e)
+        object.__setattr__(self, "_legs", {q: frozenset(v) for q, v in legs.items()})
+        adj = {q: frozenset(l if k == q else k for k, l in v) for q, v in legs.items()}
+        object.__setattr__(self, "_adj", adj)
 
     @classmethod
     def from_network(cls, net) -> "NetworkShape":
@@ -58,6 +63,14 @@ class NetworkShape:
     def adjacency(self) -> dict[int, frozenset[int]]:
         return self._adj
 
+    def open_edges(self, nodes: Iterable[int]) -> frozenset[Edge]:
+        """Edges with one endpoint among the distinct ``nodes``: the symmetric
+        difference of their incident edges, in which inner edges cancel."""
+        out: frozenset[Edge] = frozenset()
+        for q in nodes:
+            out ^= self._legs[q]
+        return out
+
     def boundary(self) -> set[int]:
         dmax = max((len(v) for v in self._adj.values()), default=0)
         b = {q for q, v in self._adj.items() if len(v) < dmax}
@@ -65,37 +78,24 @@ class NetworkShape:
 
 
 def _step(
-    shape: NetworkShape, included: frozenset[int], q: int
+    shape: NetworkShape, open_edges: frozenset[Edge], q: int
 ) -> tuple[int, int]:
-    """Cost of absorbing node ``q`` into the intermediate over ``included``,
-    plus the rank (count of open axes with extent > 1) of the result."""
-    free_a = free_b = shared = 1
-    rank = 0
-    new = included | {q}
-    for (k, l), ext in shape.edges.items():
-        ink, inl = k in included, l in included
-        if ink and inl:
-            continue
-        if ink or inl:
-            other = l if ink else k
-            if other == q:
-                shared *= ext
-            else:
-                free_a *= ext
-                if ext > 1 and other not in new:
-                    rank += 1
-        elif q in (k, l):
-            free_b *= ext
-            if ext > 1:
-                rank += 1
-    return free_a * free_b * shared, rank
+    """Cost of absorbing node ``q`` into an intermediate with ``open_edges``
+    (product of extents over both operands' open edges), plus the rank
+    (extent > 1 edges) of the result, whose open edges are the operands'
+    symmetric difference."""
+    legs = shape._legs[q]
+    ext = shape.edges
+    cost = prod(ext[e] for e in open_edges | legs)
+    rank = sum(1 for e in open_edges ^ legs if ext[e] > 1)
+    return cost, rank
 
 
 def _score_increment(path: Sequence[int], next_qubit: int, shape: NetworkShape) -> int:
     """Cost(C^{path}, C^{next_qubit}) from frontier extents only."""
     if next_qubit in path:
         raise ValueError(f"qubit {next_qubit} already on the path")
-    cost, _ = _step(shape, frozenset(path), next_qubit)
+    cost, _ = _step(shape, shape.open_edges(path), next_qubit)
     return cost
 
 
@@ -159,6 +159,7 @@ def _candidates(
     an intermediate of rank at most ``max_rank``.
     """
     adj = shape.adjacency()
+    open_edges = shape.open_edges(members)
     for q in shape.nodes:
         if q in members:
             continue
@@ -168,7 +169,7 @@ def _candidates(
                 continue
         else:
             nc = -1
-        cost, rank = _step(shape, members, q)
+        cost, rank = _step(shape, open_edges, q)
         if max_rank is not None and rank > max_rank:
             continue
         yield q, cost, nc
@@ -254,10 +255,11 @@ def exhaustive_path_oracle(shape: NetworkShape) -> tuple[list[int], int]:
             return
         if best_score is not None and score >= best_score:
             return  # extension costs are non-negative
+        open_edges = shape.open_edges(members)
         for q in nodes:
             if q in members:
                 continue
-            cost = _step(shape, members, q)[0] if members else 0
+            cost = _step(shape, open_edges, q)[0] if members else 0
             dfs(path + [q], members | {q}, score + cost)
 
     dfs([], frozenset(), 0)

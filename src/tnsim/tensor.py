@@ -71,9 +71,6 @@ class Tensor:
         except ValueError:
             raise TensorError(f"no axis labelled {label!r}") from None
 
-    def relabel(self, mapping: dict[Hashable, Hashable]) -> "Tensor":
-        return Tensor(self.data, tuple(mapping.get(l, l) for l in self.labels))
-
     def scalar(self) -> complex:
         if self.data.ndim != 0:
             raise TensorError(f"tensor of rank {self.data.ndim} is not a scalar")

@@ -30,8 +30,6 @@ __all__ = [
 
 PHYS = "p"  # label of the physical axis on every node tensor
 
-DEFAULT_TOLERANCE = 1e-12
-
 
 @dataclass
 class TNSState:
@@ -89,7 +87,6 @@ def apply_gate(
     sg: SplitGate,
     pair: tuple[int, int],
     compress: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> TNSState:
     """Apply a split two-qubit gate on ``pair``; compress the touched bond."""
     k, l = pair
@@ -100,19 +97,17 @@ def apply_gate(
     _absorb_factor(state, l, sg.q, e)
     state.bond_dims[e] *= sg.rank
     if compress:
-        compress_edge(state, e, tolerance)
+        compress_edge(state, e)
     return state
 
 
-def compress_edge(
-    state: TNSState, e: Edge, tolerance: float = DEFAULT_TOLERANCE
-) -> TNSState:
+def compress_edge(state: TNSState, e: Edge) -> TNSState:
     """SVD-compress the bond of edge ``e``.
 
     The SVD is anchored on the lower-index endpoint: its tensor is replaced
     by the orthonormal factor U while diag(s).V is absorbed into the other
     endpoint.  The represented state changes only by singular values below
-    the relative tolerance.
+    ``svd_factorize``'s default relative tolerance.
     """
     e = edge_key(*e)
     if e not in state.graph.edges:
@@ -121,7 +116,7 @@ def compress_edge(
     ta = state.tensors[anchor]
     bond_ax = ta.axis(e)
     row_axes = [i for i in range(ta.rank) if i != bond_ax]
-    u, s, v, kept = svd_factorize(ta, row_axes, tolerance, new_label=("_c", e))
+    u, s, v, kept = svd_factorize(ta, row_axes, new_label=("_c", e))
 
     old = state.bond_dims[e]
     assert kept <= old
@@ -146,7 +141,6 @@ def evolve(
     circuit: Circuit,
     cycle_range: range | None = None,
     direction: str = "forward",
-    tolerance: float = DEFAULT_TOLERANCE,
     compress: bool = True,
 ) -> TNSState:
     """Apply the circuit's cycles to ``state``.
@@ -169,8 +163,8 @@ def evolve(
         gates = circuit.cycles[c]
         for g in reversed(gates) if inv else gates:
             m = g.matrix.conj().T if inv else g.matrix
-            sg = split_gate_matrix(m, tolerance)
-            apply_gate(state, sg, g.pair, compress, tolerance)
+            sg = split_gate_matrix(m)
+            apply_gate(state, sg, g.pair, compress)
     return state
 
 
@@ -187,7 +181,6 @@ def two_sided_evolve(
     in_bits: str,
     out_bits: str,
     split_cycle: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[TNSState, TNSState]:
     """Two-sided circuit evolution.
 
@@ -203,10 +196,10 @@ def two_sided_evolve(
         raise ValueError(f"split_cycle {split_cycle} outside [0, {d}]")
 
     phi = init_state(circuit.graph, in_bits)
-    evolve(phi, circuit, range(0, split_cycle), "forward", tolerance)
+    evolve(phi, circuit, range(0, split_cycle), "forward")
 
     psi = init_state(circuit.graph, out_bits)
     for q, u in sorted(circuit.trailing.items()):
         apply_single_qubit(psi, q, np.asarray(u).conj().T)
-    evolve(psi, circuit, range(split_cycle, d), "inverse", tolerance)
+    evolve(psi, circuit, range(split_cycle, d), "inverse")
     return phi, psi

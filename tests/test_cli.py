@@ -1,8 +1,10 @@
 import json
 import math
+import re
 
 import pytest
 
+import tnsim.cli
 from tnsim.circuit import Circuit, CircuitGraph, Gate, cz_matrix, parse_circuit
 from tnsim.cli import main
 from tnsim.oracle import amplitude_oracle
@@ -24,6 +26,18 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def base_argv(command: str, circuit_file: str) -> list[str]:
+    if command == "gen":
+        return ["gen", "--lattice", "square", "--size", "4", "--depth", "2"]
+    if command == "amplitude":
+        return ["amplitude", "-c", circuit_file, "--in", "0000", "--out", "0000"]
+    return [command, "-c", circuit_file]
+
+
+def untimed(out: str) -> str:
+    return re.sub(r'"wall_time_ms": [-+.0-9e]+', '"wall_time_ms": 0', out)
 
 
 class TestEstimateWorkload:
@@ -185,6 +199,47 @@ class TestAmplitude:
         assert message in json.loads(err)["error"]
 
 
+class TestConfig:
+    # every flag here has a built-in default that is not None
+    @pytest.mark.parametrize(
+        "command,config,flags",
+        [
+            ("amplitude", {"cuts": "0-1"}, ["--cuts", "0-1"]),
+            ("amplitude", {"timing": True}, ["--timing"]),
+            ("amplitude", {"format": "csv"}, ["--format", "csv"]),
+            ("verify", {"seed": 3, "samples": 2}, ["--seed", "3", "--samples", "2"]),
+            ("gen", {"seed": 5, "gate-family": "cz"},
+             ["--seed", "5", "--gate-family", "cz"]),
+            ("estimate-workload", {"e1": 0, "e2": 0, "eq": 0},
+             ["--e1", "0", "--e2", "0", "--eq", "0"]),
+        ],
+        ids=["cuts", "timing", "format", "seed-samples", "gen-seed-family",
+             "error-rates"],
+    )
+    def test_config_replaces_builtin_defaults(
+        self, capsys, circuit_file, tmp_path, command, config, flags
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = base_argv(command, circuit_file)
+        rc, from_config, _ = run(capsys, ["--config", str(cfg)] + argv)
+        assert rc == 0
+        _, from_flags, _ = run(capsys, argv + flags)
+        _, builtin, _ = run(capsys, argv)
+        assert untimed(from_config) == untimed(from_flags)
+        assert untimed(from_config) != untimed(builtin)
+
+    def test_command_line_overrides_config(self, capsys, circuit_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cuts": "0-1", "timing": True}))
+        argv = base_argv("amplitude", circuit_file)
+        _, out, _ = run(capsys, ["--config", str(cfg)] + argv + ["--cuts", "none"])
+        rec = json.loads(out)
+        assert rec["slice_count"] == 1 and "wall_time_ms" in rec
+        _, uncut, _ = run(capsys, argv + ["--cuts", "none", "--timing"])
+        assert untimed(out) == untimed(uncut)
+
+
 class TestVerify:
     def test_oracle_deltas_are_tiny(self, capsys, circuit_file):
         rc, out, _ = run(
@@ -202,6 +257,41 @@ class TestVerify:
         assert rc == 0
         for line in out.splitlines():
             assert 0 <= json.loads(line)["abs_amplitude"] <= 1 + 1e-12
+
+    def test_circuit_parsed_once(self, capsys, circuit_file, monkeypatch):
+        calls = []
+
+        def counting_parse(data):
+            calls.append(data)
+            return parse_circuit(data)
+
+        monkeypatch.setattr(tnsim.cli, "parse_circuit", counting_parse)
+        rc, _, _ = run(capsys, ["verify", "-c", circuit_file, "--samples", "3"])
+        assert rc == 0 and len(calls) == 1
+
+    def test_process_pool_matches_serial(self, capsys, circuit_file):
+        argv = ["verify", "-c", circuit_file, "--samples", "2", "--oracle"]
+        assert run(capsys, argv + ["--workers", "2"]) == run(capsys, argv)
+
+    def test_oracle_cap_checked_before_any_amplitude(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "wide.json"
+        rc = main(["gen", "--lattice", "square", "--rows", "4", "--cols", "7",
+                   "--depth", "1", "-o", str(path)])
+        assert rc == 0
+        calls = []
+
+        def no_amplitude(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("amplitude computed before the oracle cap check")
+
+        monkeypatch.setattr(tnsim.cli, "compute_amplitude", no_amplitude)
+        rc, out, err = run(
+            capsys, ["verify", "-c", str(path), "--samples", "2", "--oracle"]
+        )
+        assert rc == 1 and out == "" and calls == []
+        assert "OracleCapError: 28 qubits" in json.loads(err)["error"]
 
 
 class TestPath:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,12 @@ from tnsim.network import (
     build_overlap_network,
     compute_amplitude,
     contract_along_path,
+    overlap_network,
     plan_cuts,
     slice_network,
 )
 from tnsim.oracle import amplitude_oracle
-from tnsim.pathfind import NetworkShape, find_optimal_path
+from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
 from tnsim.tns import init_state, two_sided_evolve
 
 from conftest import random_bits
@@ -241,3 +244,35 @@ class TestComputeAmplitude:
         assert stats.peak_rank <= 3
         assert stats.slice_count > 1
         assert stats.amplitude == pytest.approx(ref, abs=1e-10)
+
+
+def lattice_overlap_shape(kind: str, rows: int, cols: int, depth: int) -> NetworkShape:
+    n = rows * cols
+    circuit = generate_rqc(generate_lattice(kind, rows, cols), depth, seed=1)
+    return NetworkShape.from_network(overlap_network(circuit, "0" * n, "0" * n))
+
+
+class TestSearchOnOverlapNetworks:
+    """Paths, scores and separator cuts pinned on real overlap networks,
+    beyond the sizes the exhaustive oracle reaches."""
+
+    def test_square_4x4_d11_at_auto_cap(self):
+        shape = lattice_overlap_shape("square", 4, 4, 11)
+        cap = treewidth_bound(shape) + 1
+        assert cap == 5
+        assert find_optimal_path(shape, cap) == (
+            [0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 11, 14, 15],
+            31241274368,
+        )
+
+    def test_sycamore_6x6_d8_at_cap_5(self):
+        shape = lattice_overlap_shape("sycamore-like", 6, 6, 8)
+        assert find_optimal_path(shape, 5) == (
+            [0, 6, 12, 7, 1, 18, 30, 24, 31, 19, 25, 13, 20, 8, 2, 32, 14, 9,
+             26, 33, 21, 3, 15, 10, 27, 34, 22, 4, 16, 11, 5, 17, 23, 29, 28, 35],
+            155451968,
+        )
+        assert list(islice(network._separator_cuts(shape), 2)) == [
+            [(5, 11)],
+            [(5, 11), (24, 30)],
+        ]
