@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 
@@ -29,6 +30,7 @@ __all__ = [
     "cz_matrix",
     "iswap_matrix",
     "fsim_matrix",
+    "GATE_FAMILIES",
     "identity2",
     "split_gate_matrix",
     "fuse_single_qubit_gates",
@@ -100,7 +102,15 @@ SQRT_W = _sqrt_pauli(_W)
 
 DEFAULT_SINGLE_QUBIT_SET: tuple[np.ndarray, ...] = (SQRT_X, SQRT_Y, SQRT_W)
 
-DEFAULT_FSIM_PARAMS = (pi / 2, pi / 6)
+# named two-qubit gates: the matrix builder, called with the params as
+# keywords, and the params generate_rqc uses; a circuit document must give a
+# value for each of them.  The first entry is the default family.
+GATE_FAMILIES: dict[str, tuple[Callable[..., np.ndarray], dict[str, float]]] = {
+    "fsim": (fsim_matrix, {"theta": pi / 2, "phi": pi / 6}),
+    "cz": (cz_matrix, {}),
+    "iswap": (iswap_matrix, {}),
+}
+DEFAULT_GATE_FAMILY = next(iter(GATE_FAMILIES))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +174,6 @@ class Gate:
 
     pair: tuple[int, int]
     matrix: np.ndarray
-    cycle: int
     name: str = "matrix"
     params: dict[str, float] = field(default_factory=dict)
 
@@ -199,16 +208,15 @@ class SingleQubitGate:
 class Circuit:
     """Connectivity graph plus ordered gate cycles.
 
-    ``single_qubit`` holds the pre-fusion 2x2 layers; a gate at moment m acts
-    before cycle m (moment == depth means after the last cycle).  ``trailing``
-    holds per-qubit 2x2 unitaries produced by fusion for qubits with no
-    following two-qubit gate; it is applied after all cycles.
+    ``single_qubit`` holds the 2x2 gates in the order they act; a gate at
+    moment m acts before cycle m, and moment == depth means after the last
+    cycle.  A fused circuit keeps only moment == depth gates, one for each
+    qubit that no two-qubit gate touches.
     """
 
     graph: CircuitGraph
     cycles: tuple[tuple[Gate, ...], ...]
     single_qubit: tuple[SingleQubitGate, ...] = ()
-    trailing: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -292,8 +300,9 @@ def fuse_single_qubit_gates(c: Circuit) -> Circuit:
     """Absorb all single-qubit layers into adjacent two-qubit gates.
 
     Each 2x2 unitary multiplies into the next two-qubit gate touching its
-    qubit; with no following gate it folds into the previous one, and qubits
-    with no two-qubit gate at all keep a per-qubit trailing 2x2.  The full
+    qubit; with no following gate it folds into the previous one.  A qubit
+    that no two-qubit gate touches keeps the product of its 2x2s as one
+    ``single_qubit`` gate at moment == depth, in qubit order.  The full
     circuit unitary is unchanged.
     """
     n = c.num_qubits
@@ -321,7 +330,7 @@ def fuse_single_qubit_gates(c: Circuit) -> Circuit:
             last_gate[k] = (m, idx)
             last_gate[l] = (m, idx)
 
-    trailing = {q: u.copy() for q, u in c.trailing.items()}
+    leftover: list[SingleQubitGate] = []
     for q in range(n):
         u = pending[q]
         if np.allclose(u, np.eye(2), atol=0):
@@ -331,16 +340,13 @@ def fuse_single_qubit_gates(c: Circuit) -> Circuit:
             pair = c.cycles[m][idx].pair
             matrices[m][idx] = _expand_on_pair(u, pair, q) @ matrices[m][idx]
         else:
-            trailing[q] = u @ trailing.get(q, identity2())
+            leftover.append(SingleQubitGate(q, c.depth, u))
 
     cycles = tuple(
-        tuple(
-            Gate(g.pair, matrices[m][idx], m)
-            for idx, g in enumerate(cycle)
-        )
+        tuple(Gate(g.pair, matrices[m][idx]) for idx, g in enumerate(cycle))
         for m, cycle in enumerate(c.cycles)
     )
-    return Circuit(c.graph, cycles, (), trailing)
+    return Circuit(c.graph, cycles, tuple(leftover))
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +407,21 @@ def _edge_coloring(graph: CircuitGraph) -> list[list[Edge]]:
 
 
 def generate_rqc(
-    graph: CircuitGraph, depth: int, seed: int, gate_family: str = "fsim"
+    graph: CircuitGraph, depth: int, seed: int, gate_family: str = DEFAULT_GATE_FAMILY
 ) -> Circuit:
     """Deterministic random circuit on ``graph``.
 
-    Cycle d applies the chosen two-qubit gate (fsim at
-    ``DEFAULT_FSIM_PARAMS``) over the edges of color class d mod the class
-    count of the graph's edge coloring, preceded by a layer of single-qubit
-    rotations drawn from ``DEFAULT_SINGLE_QUBIT_SET``.
+    Cycle d applies the chosen two-qubit gate (with its ``GATE_FAMILIES``
+    params) over the edges of color class d mod the class count of the
+    graph's edge coloring, preceded by a layer of single-qubit rotations
+    drawn from ``DEFAULT_SINGLE_QUBIT_SET``.
     """
     if depth < 1:
         raise CircuitFormatError("depth must be >= 1")
-    if gate_family == "fsim":
-        theta, phi = DEFAULT_FSIM_PARAMS
-        m2, name = fsim_matrix(theta, phi), "fsim"
-        params = {"theta": theta, "phi": phi}
-    elif gate_family == "cz":
-        m2, name, params = cz_matrix(), "cz", {}
-    elif gate_family == "iswap":
-        m2, name, params = iswap_matrix(), "iswap", {}
-    else:
+    if gate_family not in GATE_FAMILIES:
         raise CircuitFormatError(f"unknown gate family {gate_family!r}")
+    build, params = GATE_FAMILIES[gate_family]
+    m2 = build(**params)
 
     rng = np.random.default_rng(seed)
     classes = _edge_coloring(graph)
@@ -433,7 +433,7 @@ def generate_rqc(
             u = DEFAULT_SINGLE_QUBIT_SET[rng.integers(len(DEFAULT_SINGLE_QUBIT_SET))]
             singles.append(SingleQubitGate(q, d, u))
         color = classes[d % len(classes)]
-        cycles.append([Gate(e, m2, d, name, params) for e in color])
+        cycles.append([Gate(e, m2, gate_family, dict(params)) for e in color])
     return Circuit(graph, tuple(tuple(c) for c in cycles), tuple(singles))
 
 
@@ -466,33 +466,21 @@ def _matrix_from_list(entries, side: int, where: str) -> np.ndarray:
     return np.array(vals, dtype=np.complex128).reshape(side, side)
 
 
+def _gate_doc(g: Gate) -> dict:
+    doc = {"pair": list(g.pair), "gate": g.name}
+    if g.name == "matrix":
+        doc["matrix"] = _complex_list(g.matrix)
+    elif g.name in GATE_FAMILIES and GATE_FAMILIES[g.name][1]:
+        doc["params"] = {k: g.params[k] for k in GATE_FAMILIES[g.name][1]}
+    return doc
+
+
 def serialize_circuit(circuit: Circuit) -> bytes:
     """Serialize to the canonical JSON circuit document."""
-    if circuit.trailing:
-        raise CircuitFormatError("cannot serialize a fused circuit with trailing gates")
     doc = {
         "num_qubits": circuit.num_qubits,
         "edges": [list(e) for e in sorted(circuit.graph.edges)],
-        "cycles": [
-            [
-                {
-                    "pair": list(g.pair),
-                    "gate": g.name,
-                    **(
-                        {"params": {k: g.params[k] for k in sorted(g.params)}}
-                        if g.name == "fsim"
-                        else {}
-                    ),
-                    **(
-                        {"matrix": _complex_list(g.matrix)}
-                        if g.name == "matrix"
-                        else {}
-                    ),
-                }
-                for g in cycle
-            ]
-            for cycle in circuit.cycles
-        ],
+        "cycles": [[_gate_doc(g) for g in cycle] for cycle in circuit.cycles],
         "single_qubit": [
             {
                 "qubit": sg.qubit,
@@ -505,7 +493,7 @@ def serialize_circuit(circuit: Circuit) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _gate_from_doc(entry: dict, cycle: int, where: str) -> Gate:
+def _gate_from_doc(entry: dict, where: str) -> Gate:
     pair = entry.get("pair")
     if (
         not isinstance(pair, list)
@@ -514,22 +502,21 @@ def _gate_from_doc(entry: dict, cycle: int, where: str) -> Gate:
     ):
         raise CircuitFormatError(f"{where}: bad pair {pair!r}")
     kind = entry.get("gate")
-    if kind == "cz":
-        m, params = cz_matrix(), {}
-    elif kind == "iswap":
-        m, params = iswap_matrix(), {}
-    elif kind == "fsim":
-        p = entry.get("params", {})
-        if not isinstance(p, dict) or "theta" not in p or "phi" not in p:
-            raise CircuitFormatError(f"{where}: fsim gate missing theta/phi")
-        params = {"theta": float(p["theta"]), "phi": float(p["phi"])}
-        m = fsim_matrix(params["theta"], params["phi"])
-    elif kind == "matrix":
+    if kind == "matrix":
         m = _matrix_from_list(entry.get("matrix", []), 4, where)
         params = {}
+    elif kind in GATE_FAMILIES:
+        build, names = GATE_FAMILIES[kind]
+        p = entry.get("params", {})
+        if names and (not isinstance(p, dict) or not names.keys() <= p.keys()):
+            raise CircuitFormatError(
+                f"{where}: {kind} gate missing {'/'.join(names)}"
+            )
+        params = {k: float(p[k]) for k in names}
+        m = build(**params)
     else:
         raise CircuitFormatError(f"{where}: unknown gate name {kind!r}")
-    g = Gate((pair[0], pair[1]), m, cycle, kind, params)
+    g = Gate((pair[0], pair[1]), m, kind, params)
     if not g.is_unitary():
         raise CircuitFormatError(f"{where}: gate matrix is not unitary")
     return g
@@ -570,7 +557,7 @@ def parse_circuit(data: bytes | str) -> Circuit:
         cycle: list[Gate] = []
         for gi, entry in enumerate(_expect(cycle_doc, list, f"cycles[{ci}]")):
             where = f"cycles[{ci}][{gi}]"
-            g = _gate_from_doc(_expect(entry, dict, where), ci, where)
+            g = _gate_from_doc(_expect(entry, dict, where), where)
             k, l = g.pair
             if not (0 <= k < n and 0 <= l < n):
                 raise CircuitFormatError(f"{where}: qubit index out of range")

@@ -18,6 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .circuit import (
+    DEFAULT_GATE_FAMILY,
+    GATE_FAMILIES,
     Circuit,
     CircuitFormatError,
     CircuitGraph,
@@ -40,7 +42,7 @@ from .workload import (
 
 __all__ = ["main"]
 
-# Sycamore-like lattice sizes from the bundled layouts
+# sycamore-like lattice sizes --size accepts, as (rows, cols)
 SYCAMORE_SIZES = {54: (9, 6), 60: (10, 6), 66: (11, 6), 72: (12, 6), 104: (13, 8)}
 
 
@@ -180,8 +182,7 @@ def _cmd_estimate_workload(args) -> int:
     return 0
 
 
-def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """``defaults`` maps a subcommand to values replacing its flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnsim",
         description="Single-amplitude random-quantum-circuit simulator on "
@@ -199,7 +200,9 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--cols", type=int)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gate-family", choices=["fsim", "cz", "iswap"], default="fsim")
+    p.add_argument(
+        "--gate-family", choices=list(GATE_FAMILIES), default=DEFAULT_GATE_FAMILY
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 
@@ -234,38 +237,48 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--e2", type=float, default=SYCAMORE_E2)
     p.add_argument("--eq", type=float, default=SYCAMORE_EQ)
     p.set_defaults(func=_cmd_estimate_workload)
-
-    for command, values in (defaults or {}).items():
-        sub.choices[command].set_defaults(**values)
     return parser
 
 
-def _read_config(args, path: str) -> dict:
-    """The JSON object in ``path`` as flag values for ``args.command``; a key
-    naming no flag of the subcommand is an error."""
+def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The JSON object in ``path`` as ``command``'s flags: ``true`` is a bare
+    flag and ``false`` is left out; a key naming no flag of the subcommand
+    is an error."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config {path}: top level must be an object")
-    flags = set(vars(args)) - {"command", "config", "func"}
-    values = {}
+    (subcommands,) = parser._subparsers._group_actions
+    flags = {
+        a.dest: a.option_strings[-1]
+        for a in subcommands.choices[command]._actions
+        if a.dest != "help"
+    }
+    argv = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr not in flags:
-            raise ValueError(
-                f"config {path}: unknown key {key!r} for {args.command}"
-            )
-        values[attr] = value
-    return values
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ValueError(f"config {path}: unknown key {key!r} for {command}")
+        if value is not False:
+            argv += [flag] if value is True else [flag, str(value)]
+    return argv
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            # config values replace the built-in defaults; given flags win
-            config = _read_config(args, args.config)
-            args = build_parser({args.command: config}).parse_args(argv)
+            # config flags go right after the subcommand, so argparse checks
+            # them like typed flags and a flag given later still wins; the
+            # tokens before the subcommand are --config options, one token
+            # with "=" or two without
+            i = 0
+            while argv[i] != args.command:
+                i += 1 if "=" in argv[i] else 2
+            argv[i + 1:i + 1] = _config_argv(parser, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (
         CircuitFormatError,

@@ -83,9 +83,6 @@ def full_state_evolve(circuit: Circuit, in_bits: str) -> np.ndarray:
             break
         for g in circuit.cycles[m]:
             state = _apply_two(state, n, g.pair[0], g.pair[1], g.matrix)
-
-    for q, u in sorted(circuit.trailing.items()):
-        state = _apply_single(state, n, q, u)
     return state
 
 

@@ -147,9 +147,10 @@ def evolve(
 
     Forward applies gates in order; inverse applies conjugate-transposed
     gates in reverse order, so that evolving |s> inversely yields U^dag |s>.
-    The circuit must already be fused (no pending single-qubit layers).
+    The circuit must already be fused: a single-qubit gate before the last
+    cycle is refused, and gates at moment == depth are left to the caller.
     """
-    if circuit.single_qubit:
+    if any(sg.moment < circuit.depth for sg in circuit.single_qubit):
         raise ValueError("evolve expects a fused circuit (no single-qubit layers)")
     if cycle_range is None:
         cycle_range = range(circuit.depth)
@@ -185,9 +186,10 @@ def two_sided_evolve(
     """Two-sided circuit evolution.
 
     phi carries cycles [0, split_cycle) applied forward to |in_bits>; psi is
-    the ket U2^dag |out_bits| obtained by applying the remaining cycles (and
-    the trailing single-qubit fusions) inversely to |out_bits>.  The overlap
-    <psi|phi> equals the full amplitude <out|U|in>.
+    the ket U2^dag |out_bits> obtained by applying the fused circuit's
+    moment == depth single-qubit gates (last first, each as u^dag) and then
+    the remaining cycles inversely to |out_bits>.  The overlap <psi|phi>
+    equals the full amplitude <out|U|in>.
     """
     d = circuit.depth
     if split_cycle is None:
@@ -199,7 +201,7 @@ def two_sided_evolve(
     evolve(phi, circuit, range(0, split_cycle), "forward")
 
     psi = init_state(circuit.graph, out_bits)
-    for q, u in sorted(circuit.trailing.items()):
-        apply_single_qubit(psi, q, np.asarray(u).conj().T)
+    for sg in reversed(circuit.single_qubit):
+        apply_single_qubit(psi, sg.qubit, sg.matrix.conj().T)
     evolve(psi, circuit, range(split_cycle, d), "inverse")
     return phi, psi

@@ -62,7 +62,7 @@ def estimate_workload(circuit: Circuit, model: ErrorModel) -> WorkloadEstimate:
     two-qubit layers) and every measured qubit (eq); accumulated in the log
     domain so thousands of factors do not underflow.
     """
-    n1 = len(circuit.single_qubit) + len(circuit.trailing)
+    n1 = len(circuit.single_qubit)
     n2 = sum(len(c) for c in circuit.cycles)
     log_f = (
         n1 * math.log1p(-model.e1)

@@ -299,9 +299,9 @@ def test_criterion_09_dcd_compression(report):
     graph = CircuitGraph(3, frozenset({(0, 1), (1, 2)}))
     f = fsim_matrix(np.pi / 2, np.pi / 6)
     cycles = (
-        (Gate((0, 1), f, 0),),
-        (Gate((1, 2), f, 1),),
-        (Gate((0, 1), f, 2),),
+        (Gate((0, 1), f),),
+        (Gate((1, 2), f),),
+        (Gate((0, 1), f),),
     )
     circuit = Circuit(graph, cycles)
     state = init_state(graph, "000")

@@ -1,11 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnsim.bundled import load_sycamore54_circuit
 from tnsim.circuit import (
     Circuit,
     CircuitFormatError,
@@ -59,7 +60,7 @@ class TestGateSplit:
         np.testing.assert_allclose(reconstruct(sg), matrix, atol=1e-12)
 
     def test_gate_wrapper(self):
-        g = Gate((0, 1), cz_matrix(), 0, "cz")
+        g = Gate((0, 1), cz_matrix(), "cz")
         assert split_gate_matrix(g.matrix).rank == 2
 
     def test_non_unitary_warns_but_splits(self):
@@ -77,7 +78,7 @@ class TestGateSplit:
 class TestFusion:
     def test_noop_without_single_qubit_gates(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),))
+        c = Circuit(graph, ((Gate((0, 1), cz_matrix()),),))
         f = fuse_single_qubit_gates(c)
         assert f.single_qubit == ()
         np.testing.assert_allclose(f.cycles[0][0].matrix, cz_matrix())
@@ -86,7 +87,7 @@ class TestFusion:
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         c = Circuit(
             graph,
-            ((Gate((0, 1), cz_matrix(), 0),),),
+            ((Gate((0, 1), cz_matrix()),),),
             (SingleQubitGate(0, 0, H),),
         )
         f = fuse_single_qubit_gates(c)
@@ -99,12 +100,12 @@ class TestFusion:
         graph = CircuitGraph(3, frozenset({(0, 1), (1, 2)}))
         c = Circuit(
             graph,
-            ((Gate((0, 1), cz_matrix(), 0),),),
+            ((Gate((0, 1), cz_matrix()),),),
             (SingleQubitGate(2, 1, H),),
         )
         f = fuse_single_qubit_gates(c)
-        assert set(f.trailing) == {2}
-        np.testing.assert_allclose(f.trailing[2], H)
+        assert [(sg.qubit, sg.moment) for sg in f.single_qubit] == [(2, f.depth)]
+        np.testing.assert_allclose(f.single_qubit[0].matrix, H)
 
     def test_preserves_unitary_via_oracle(self, rng):
         graph = generate_lattice("square", 2, 2)
@@ -120,11 +121,11 @@ class TestFusion:
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         c = Circuit(
             graph,
-            ((Gate((0, 1), iswap_matrix(), 0),),),
+            ((Gate((0, 1), iswap_matrix()),),),
             (SingleQubitGate(0, 1, H), SingleQubitGate(1, 1, H)),
         )
         f = fuse_single_qubit_gates(c)
-        assert not f.trailing
+        assert f.single_qubit == ()
         for out in ("00", "01", "10", "11"):
             assert abs(amplitude_oracle(c, "00", out) - amplitude_oracle(f, "00", out)) < 1e-12
 
@@ -148,11 +149,6 @@ class TestLattices:
         degs = {g.degree(q) for q in range(54)}
         assert degs <= {1, 2, 3, 4}
         assert 4 in degs  # interior qubits are fully coupled
-
-    def test_matches_bundled_layout(self):
-        g = generate_lattice("sycamore-like", 9, 6)
-        bundled = load_sycamore54_circuit()
-        assert bundled.graph.edges == g.edges
 
     def test_too_small(self):
         with pytest.raises(CircuitFormatError):
@@ -279,7 +275,23 @@ class TestFileFormat:
         with pytest.raises(CircuitFormatError, match="unknown gate"):
             parse_circuit(json.dumps(doc))
 
-    def test_bundled_sycamore_file(self):
-        c = load_sycamore54_circuit()
-        assert c.num_qubits == 54
-        assert c.depth == 8
+    def test_fused_circuit_round_trips(self, rng):
+        # depth 1 on 3x3 leaves some qubits without a two-qubit gate, so the
+        # fused circuit keeps single-qubit gates at moment == depth
+        c = generate_rqc(generate_lattice("square", 3, 3), 1, seed=4)
+        f = fuse_single_qubit_gates(c)
+        assert f.single_qubit
+        assert all(sg.moment == f.depth for sg in f.single_qubit)
+        data = serialize_circuit(f)
+        f2 = parse_circuit(data)
+        assert serialize_circuit(f2) == data
+        for _ in range(6):
+            out = random_bits(rng, 9)
+            ref = amplitude_oracle(c, "0" * 9, out)
+            assert abs(amplitude_oracle(f2, "0" * 9, out) - ref) < 1e-12
+
+    def test_readme_example_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        c = parse_circuit(block)
+        assert c.depth == len(json.loads(block)["cycles"])

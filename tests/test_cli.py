@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -23,7 +24,10 @@ def circuit_file(tmp_path):
 
 
 def run(capsys, argv):
-    rc = main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -48,7 +52,7 @@ class TestEstimateWorkload:
 
     def test_gate_counting(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),) * 4)
+        c = Circuit(graph, ((Gate((0, 1), cz_matrix()),),) * 4)
         model = ErrorModel(e1=0.01, e2=0.02, eq=0.03)
         est = estimate_workload(c, model)
         assert est.fidelity == pytest.approx(0.98**4 * 0.97**2, rel=1e-12)
@@ -64,7 +68,7 @@ class TestEstimateWorkload:
 
     def test_underflow_raises_with_log_fidelity(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),) * 200)
+        c = Circuit(graph, ((Gate((0, 1), cz_matrix()),),) * 200)
         with pytest.raises(WorkloadError) as exc:
             estimate_workload(c, ErrorModel(e2=0.99))
         assert exc.value.log_fidelity < -700
@@ -100,6 +104,31 @@ class TestGen:
         )
         assert rc == 1
         assert "perfect square" in json.loads(err)["error"]
+
+    # sha256 of the written file: a change here changes every circuit that
+    # tnsim gen writes, including the 54-qubit example in the README
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--lattice", "sycamore-like", "--size", "54", "--depth", "8",
+              "--seed", "7"],
+             "4447748751089898fc5591775ba7be80e93643fa8834b1c07621e18f9fb21146"),
+            (["--lattice", "square", "--size", "9", "--depth", "4", "--seed", "3",
+              "--gate-family", "fsim"],
+             "6a47208c997d75e61195e6b91facd968a77a7bd18d50f09577d30a8bcb6b36b8"),
+            (["--lattice", "square", "--size", "9", "--depth", "4", "--seed", "3",
+              "--gate-family", "cz"],
+             "5e0c58a8f1b4068ad8c1fb25ad698d2f8e9a613a1e1ed16c013651ae661ef973"),
+            (["--lattice", "square", "--size", "9", "--depth", "4", "--seed", "3",
+              "--gate-family", "iswap"],
+             "28cd0b68fdc75ea914cf61e5df768e93b1e9271121c788777d36db5a29e2b513"),
+        ],
+        ids=["sycamore54-d8-seed7", "square9-fsim", "square9-cz", "square9-iswap"],
+    )
+    def test_file_digest_pinned(self, tmp_path, argv, digest):
+        path = tmp_path / "circuit.json"
+        assert main(["gen", *argv, "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_unknown_sycamore_size_fails(self, capsys):
         rc, _, err = run(
@@ -228,6 +257,25 @@ class TestConfig:
         _, builtin, _ = run(capsys, argv)
         assert untimed(from_config) == untimed(from_flags)
         assert untimed(from_config) != untimed(builtin)
+
+    @pytest.mark.parametrize(
+        "config,flags",
+        [
+            ({"cuts": 5}, ["--cuts", "5"]),
+            ({"format": "xml"}, ["--format", "xml"]),
+            ({"max-rank": "abc"}, ["--max-rank", "abc"]),
+        ],
+        ids=["cuts-int", "format-choice", "max-rank-type"],
+    )
+    def test_config_values_checked_like_flags(
+        self, capsys, circuit_file, tmp_path, config, flags
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = base_argv("amplitude", circuit_file)
+        from_config = run(capsys, ["--config", str(cfg)] + argv)
+        assert from_config[0] != 0
+        assert from_config == run(capsys, argv + flags)
 
     def test_command_line_overrides_config(self, capsys, circuit_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -194,7 +194,7 @@ class TestComputeAmplitude:
 
     def test_single_cz(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),))
+        c = Circuit(graph, ((Gate((0, 1), cz_matrix()),),))
         assert compute_amplitude(c, "11", "11").amplitude == pytest.approx(-1.0)
 
     def test_matches_oracle_across_options(self, rng):

@@ -45,19 +45,24 @@ class TestFullStateEvolve:
         # CZ (H x H) |00> = (|00> + |01> + |10> - |11>) / 2
         c = Circuit(
             two_qubit_graph(),
-            ((Gate((0, 1), cz_matrix(), 0),),),
+            ((Gate((0, 1), cz_matrix()),),),
             (SingleQubitGate(0, 0, H), SingleQubitGate(1, 0, H)),
         )
         state = full_state_evolve(c, "00")
         np.testing.assert_allclose(state, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_iswap_swaps_with_phase(self):
-        c = Circuit(two_qubit_graph(), ((Gate((0, 1), iswap_matrix(), 0),),))
+        c = Circuit(two_qubit_graph(), ((Gate((0, 1), iswap_matrix()),),))
         assert amplitude_oracle(c, "10", "01") == pytest.approx(1j)
         assert amplitude_oracle(c, "10", "10") == pytest.approx(0)
 
     def test_trailing_gate_applied(self):
-        c = Circuit(two_qubit_graph(), (), trailing={0: H})
+        # a moment == depth gate acts after the last cycle
+        c = Circuit(
+            two_qubit_graph(),
+            ((Gate((0, 1), cz_matrix()),),),
+            (SingleQubitGate(0, 1, H),),
+        )
         assert amplitude_oracle(c, "00", "10") == pytest.approx(1 / np.sqrt(2))
 
     def test_norm_preserved_on_random_circuit(self, rng):
@@ -69,8 +74,8 @@ class TestFullStateEvolve:
     def test_gate_order_within_cycle_is_irrelevant(self):
         # gates in one cycle act on disjoint pairs, so they commute
         graph = CircuitGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-        g1 = Gate((0, 1), iswap_matrix(), 0)
-        g2 = Gate((2, 3), cz_matrix(), 0)
+        g1 = Gate((0, 1), iswap_matrix())
+        g2 = Gate((2, 3), cz_matrix())
         a = full_state_evolve(Circuit(graph, ((g1, g2),)), "1010")
         b = full_state_evolve(Circuit(graph, ((g2, g1),)), "1010")
         np.testing.assert_allclose(a, b, atol=1e-15)

@@ -5,6 +5,7 @@ from tnsim.circuit import (
     Circuit,
     CircuitGraph,
     Gate,
+    SingleQubitGate,
     cz_matrix,
     fsim_matrix,
     fuse_single_qubit_gates,
@@ -114,7 +115,7 @@ class TestApplyGate:
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         s = init_state(graph, "10")
         apply_gate(s, split_gate_matrix(iswap_matrix()), (0, 1))
-        c = Circuit(graph, ((Gate((0, 1), iswap_matrix(), 0),),))
+        c = Circuit(graph, ((Gate((0, 1), iswap_matrix()),),))
         np.testing.assert_allclose(
             state_vector(s), full_state_evolve(c, "10"), atol=1e-12
         )
@@ -233,14 +234,36 @@ class TestTwoSidedEvolve:
     def test_trailing_rotations_enter_the_ket(self):
         H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),), trailing={0: H})
+        c = Circuit(
+            graph,
+            ((Gate((0, 1), cz_matrix()),),),
+            (SingleQubitGate(0, 1, H),),
+        )
         phi, psi = two_sided_evolve(c, "00", "00", split_cycle=1)
         full = full_state_evolve(c, "00")
         assert self.overlap(phi, psi) == pytest.approx(full[0], abs=1e-12)
 
+    @pytest.mark.parametrize("split", [0, 1])
+    def test_moment_depth_gates_enter_the_ket_last_first(self, split):
+        # H then S on qubit 0 after the last cycle: they do not commute, so
+        # the ket must apply S^dag before H^dag
+        H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        S = np.diag([1, 1j])
+        graph = CircuitGraph(2, frozenset({(0, 1)}))
+        c = Circuit(
+            graph,
+            ((Gate((0, 1), cz_matrix()),),),
+            (SingleQubitGate(0, 1, H), SingleQubitGate(0, 1, S)),
+        )
+        full = full_state_evolve(c, "10")
+        for out in ("00", "10", "01", "11"):
+            phi, psi = two_sided_evolve(c, "10", out, split_cycle=split)
+            expected = full[int(out[::-1], 2)]
+            assert abs(self.overlap(phi, psi) - expected) < 1e-12
+
     def test_bad_split_cycle(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ((Gate((0, 1), cz_matrix(), 0),),))
+        c = Circuit(graph, ((Gate((0, 1), cz_matrix()),),))
         with pytest.raises(ValueError, match="split_cycle"):
             two_sided_evolve(c, "00", "00", split_cycle=2)
 
