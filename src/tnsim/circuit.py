@@ -211,7 +211,10 @@ class Circuit:
     ``single_qubit`` holds the 2x2 gates in the order they act; a gate at
     moment m acts before cycle m, and moment == depth means after the last
     cycle.  A fused circuit keeps only moment == depth gates, one for each
-    qubit that no two-qubit gate touches.
+    qubit that no two-qubit gate touches.  Construction checks that every
+    two-qubit gate sits on a graph edge, that no qubit acts twice in a cycle,
+    and that every single-qubit gate's qubit is in [0, num_qubits) and its
+    moment in [0, depth].
     """
 
     graph: CircuitGraph
@@ -236,6 +239,13 @@ class Circuit:
                         f"qubit used twice in cycle {c}: pair ({k}, {l})"
                     )
                 used.update((k, l))
+        for i, sg in enumerate(self.single_qubit):
+            if not 0 <= sg.qubit < self.graph.num_qubits:
+                raise CircuitFormatError(f"single_qubit[{i}]: bad qubit {sg.qubit!r}")
+            if not 0 <= sg.moment <= self.depth:
+                raise CircuitFormatError(
+                    f"single_qubit[{i}]: bad moment {sg.moment!r}"
+                )
 
     @property
     def depth(self) -> int:
@@ -256,7 +266,10 @@ class SplitGate:
 
     p: Tensor
     q: Tensor
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.p.dims[2]
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +294,13 @@ def split_gate_matrix(matrix: np.ndarray) -> SplitGate:
         m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3),
         ("kp", "k", "lp", "l"),
     )
-    u, s, v, chi = svd_factorize(regrouped, [0, 1], new_label="s")
+    u, s, v, _ = svd_factorize(regrouped, [0, 1], new_label="s")
     root = np.sqrt(s)
     p = Tensor(u.data * root[None, None, :], ("kp", "k", "s"))
     q = Tensor(
         (root[:, None, None] * v.data).transpose(1, 2, 0), ("lp", "l", "s")
     )
-    return SplitGate(p, q, chi)
+    return SplitGate(p, q)
 
 
 def _expand_on_pair(u: np.ndarray, pair: tuple[int, int], q: int) -> np.ndarray:
@@ -575,9 +588,9 @@ def parse_circuit(data: bytes | str) -> Circuit:
         entry = _expect(entry, dict, where)
         q = entry.get("qubit")
         m = entry.get("moment")
-        if not isinstance(q, int) or not 0 <= q < n:
+        if not isinstance(q, int):
             raise CircuitFormatError(f"{where}: bad qubit {q!r}")
-        if not isinstance(m, int) or not 0 <= m <= len(cycles):
+        if not isinstance(m, int):
             raise CircuitFormatError(f"{where}: bad moment {m!r}")
         mat = _matrix_from_list(entry.get("matrix", []), 2, where)
         singles.append(SingleQubitGate(q, m, mat))

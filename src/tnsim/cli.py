@@ -287,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         WorkloadError,
         ValueError,
         OSError,
+        MemoryError,
     ) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 

@@ -11,7 +11,7 @@ contraction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from math import prod
 from operator import xor
@@ -52,24 +52,26 @@ class CutPlanError(RuntimeError):
 
 @dataclass
 class TensorNetwork:
-    """Closed network: one tensor per qubit, axes labelled by graph edges."""
+    """Closed network: one tensor per qubit, axes labelled by graph edges.
+
+    ``edges`` maps each label to its extent and is derived from the tensors;
+    every label must sit on exactly two tensors with equal extents.
+    """
 
     tensors: dict[int, Tensor]
-    edges: dict[Edge, int]
+    edges: dict[Edge, int] = field(init=False)
 
-    def validate(self) -> None:
-        counts: dict[Edge, int] = {}
-        for q, t in self.tensors.items():
+    def __post_init__(self) -> None:
+        seen: dict[Edge, list[int]] = {}
+        for t in self.tensors.values():
             for lab, ext in zip(t.labels, t.dims):
-                if lab not in self.edges:
-                    raise ValueError(f"node {q}: axis {lab!r} not a network edge")
-                if self.edges[lab] != ext:
-                    raise ValueError(
-                        f"node {q}: edge {lab} extent {ext} != {self.edges[lab]}"
-                    )
-                counts[lab] = counts.get(lab, 0) + 1
-        if any(c != 2 for c in counts.values()) or set(counts) != set(self.edges):
-            raise ValueError("network is not closed")
+                seen.setdefault(lab, []).append(ext)
+        for lab, exts in seen.items():
+            if len(exts) != 2:
+                raise ValueError(f"edge {lab!r} on {len(exts)} tensors, expected 2")
+            if exts[0] != exts[1]:
+                raise ValueError(f"edge {lab!r} extents {exts[0]} != {exts[1]}")
+        self.edges = {lab: exts[0] for lab, exts in seen.items()}
 
 
 @dataclass(frozen=True)
@@ -109,27 +111,16 @@ def build_overlap_network(phi: TNSState, psi: TNSState) -> TensorNetwork:
         raise ValueError("overlap requires identical graphs")
     graph = phi.graph
     tensors: dict[int, Tensor] = {}
-    edges: dict[Edge, int] = {
-        e: phi.bond_dims[e] * psi.bond_dims[e] for e in graph.edges
-    }
     for q in range(graph.num_qubits):
         a, b = phi.tensors[q], psi.tensors[q]
         node_edges = graph.node_edges(q)
         t = np.tensordot(a.data, b.data.conj(), axes=([0], [0]))
-        # axes: phi aux (a's order) then psi aux (b's order); interleave per edge
+        # axes: phi aux then psi aux, both in node_edges order; interleave
         deg = len(node_edges)
-        pos_a = {lab: a.labels.index(lab) - 1 for lab in node_edges}
-        pos_b = {lab: b.labels.index(lab) - 1 for lab in node_edges}
-        perm: list[int] = []
-        for e in node_edges:
-            perm.append(pos_a[e])
-            perm.append(deg + pos_b[e])
-        t = t.transpose(perm)
-        t = t.reshape(tuple(edges[e] for e in node_edges))
+        t = t.transpose([i + side for i in range(deg) for side in (0, deg)])
+        t = t.reshape(tuple(a.dims[i] * b.dims[i] for i in range(1, deg + 1)))
         tensors[q] = Tensor(t, tuple(node_edges))
-    net = TensorNetwork(tensors, edges)
-    net.validate()
-    return net
+    return TensorNetwork(tensors)
 
 
 def _fiedler_order(shape: NetworkShape) -> list[int]:
@@ -237,7 +228,7 @@ def slice_network(
     """Restrict every cut edge to the value decoded from ``slice_index``.
 
     Decoding is mixed-radix with the first cut edge most significant.  The
-    cut edges disappear from the slice's registry.
+    cut edges' axes are gone from the slice's tensors, so from its edges.
     """
     if not 0 <= slice_index < plan.slice_count:
         raise ValueError(f"slice index {slice_index} out of range")
@@ -255,8 +246,7 @@ def slice_network(
             arr = np.take(t.data, v, axis=ax)
             labels = t.labels[:ax] + t.labels[ax + 1:]
             tensors[q] = Tensor(arr, labels)
-    edges = {e: x for e, x in net.edges.items() if e not in values}
-    return TensorNetwork(tensors, edges)
+    return TensorNetwork(tensors)
 
 
 def contract_along_path(

@@ -4,6 +4,8 @@ Each qubit owns one tensor whose first axis is physical (extent 2) and whose
 remaining axes are auxiliary, one per incident graph edge, labelled by the
 edge.  Two-qubit gates are applied via their SVD split, growing the touched
 bond by the gate rank; an SVD compression on that bond follows each gate.
+A bond's extent is never stored apart from the tensors: it is the extent of
+the edge's axis in the arrays.
 
 A TNSState is mutated by evolution and confined to one worker at a time.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Iterable
 
 import numpy as np
 
@@ -33,21 +36,29 @@ PHYS = "p"  # label of the physical axis on every node tensor
 
 @dataclass
 class TNSState:
+    """One tensor per qubit, labelled ``(PHYS, *graph.node_edges(q))``; bond
+    extents are read from those tensors."""
+
     graph: CircuitGraph
     tensors: dict[int, Tensor]
-    bond_dims: dict[Edge, int]
+
+    def _extent(self, q: int, e: Edge) -> int:
+        t = self.tensors[q]
+        return t.dims[t.axis(e)]
+
+    @property
+    def bond_dims(self) -> dict[Edge, int]:
+        """Each edge's extent, read on its lower-index endpoint."""
+        return {e: self._extent(e[0], e) for e in self.graph.edges}
 
     def max_bond(self) -> int:
         return max(self.bond_dims.values(), default=1)
 
     def check_invariants(self) -> None:
         for q, t in self.tensors.items():
-            assert t.labels[0] == PHYS and t.dims[0] == 2
-            assert t.rank == 1 + self.graph.degree(q)
-        for e, d in self.bond_dims.items():
-            k, l = e
-            tk, tl = self.tensors[k], self.tensors[l]
-            assert tk.dims[tk.axis(e)] == d == tl.dims[tl.axis(e)]
+            assert t.labels == (PHYS, *self.graph.node_edges(q)) and t.dims[0] == 2
+        for k, l in self.graph.edges:
+            assert self._extent(k, (k, l)) == self._extent(l, (k, l))
 
 
 def init_state(graph: CircuitGraph, bitstring: str) -> TNSState:
@@ -64,8 +75,7 @@ def init_state(graph: CircuitGraph, bitstring: str) -> TNSState:
         vec = np.array([1.0, 0.0] if b == "0" else [0.0, 1.0], dtype=np.complex128)
         shape = (2,) + (1,) * len(edges)
         tensors[q] = Tensor(vec.reshape(shape), (PHYS, *edges))
-    bonds = {e: 1 for e in graph.edges}
-    return TNSState(graph, tensors, bonds)
+    return TNSState(graph, tensors)
 
 
 def _absorb_factor(state: TNSState, node: int, factor: Tensor, e: Edge) -> None:
@@ -82,12 +92,7 @@ def _absorb_factor(state: TNSState, node: int, factor: Tensor, e: Edge) -> None:
     state.tensors[node] = Tensor(arr, t.labels)
 
 
-def apply_gate(
-    state: TNSState,
-    sg: SplitGate,
-    pair: tuple[int, int],
-    compress: bool = True,
-) -> TNSState:
+def apply_gate(state: TNSState, sg: SplitGate, pair: tuple[int, int]) -> TNSState:
     """Apply a split two-qubit gate on ``pair``; compress the touched bond."""
     k, l = pair
     e = edge_key(k, l)
@@ -95,10 +100,7 @@ def apply_gate(
         raise ValueError(f"pair ({k}, {l}) is not a graph edge")
     _absorb_factor(state, k, sg.p, e)
     _absorb_factor(state, l, sg.q, e)
-    state.bond_dims[e] *= sg.rank
-    if compress:
-        compress_edge(state, e)
-    return state
+    return compress_edge(state, e)
 
 
 def compress_edge(state: TNSState, e: Edge) -> TNSState:
@@ -118,8 +120,7 @@ def compress_edge(state: TNSState, e: Edge) -> TNSState:
     row_axes = [i for i in range(ta.rank) if i != bond_ax]
     u, s, v, kept = svd_factorize(ta, row_axes, new_label=("_c", e))
 
-    old = state.bond_dims[e]
-    assert kept <= old
+    assert kept <= ta.dims[bond_ax]
     assert kept <= prod(d for i, d in enumerate(ta.dims) if i != bond_ax)
 
     # U: (rows..., kept) -> move new axis back to the bond position
@@ -132,40 +133,16 @@ def compress_edge(state: TNSState, e: Edge) -> TNSState:
     arr = np.tensordot(tb.data, m, axes=([ob], [1]))  # (..., kept)
     arr = np.moveaxis(arr, -1, ob)
     state.tensors[other] = Tensor(arr, tb.labels)
-    state.bond_dims[e] = kept
     return state
 
 
 def evolve(
-    state: TNSState,
-    circuit: Circuit,
-    cycle_range: range | None = None,
-    direction: str = "forward",
-    compress: bool = True,
+    state: TNSState, gates: Iterable[tuple[tuple[int, int], np.ndarray]]
 ) -> TNSState:
-    """Apply the circuit's cycles to ``state``.
-
-    Forward applies gates in order; inverse applies conjugate-transposed
-    gates in reverse order, so that evolving |s> inversely yields U^dag |s>.
-    The circuit must already be fused: a single-qubit gate before the last
-    cycle is refused, and gates at moment == depth are left to the caller.
-    """
-    if any(sg.moment < circuit.depth for sg in circuit.single_qubit):
-        raise ValueError("evolve expects a fused circuit (no single-qubit layers)")
-    if cycle_range is None:
-        cycle_range = range(circuit.depth)
-    if direction == "forward":
-        order = [(c, False) for c in cycle_range]
-    elif direction == "inverse":
-        order = [(c, True) for c in reversed(cycle_range)]
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    for c, inv in order:
-        gates = circuit.cycles[c]
-        for g in reversed(gates) if inv else gates:
-            m = g.matrix.conj().T if inv else g.matrix
-            sg = split_gate_matrix(m)
-            apply_gate(state, sg, g.pair, compress)
+    """Apply each ``(pair, 4x4 matrix)`` of ``gates`` in order, splitting it
+    by SVD and compressing the touched bond."""
+    for pair, matrix in gates:
+        apply_gate(state, split_gate_matrix(matrix), pair)
     return state
 
 
@@ -183,25 +160,31 @@ def two_sided_evolve(
     out_bits: str,
     split_cycle: int | None = None,
 ) -> tuple[TNSState, TNSState]:
-    """Two-sided circuit evolution.
+    """Two-sided evolution of a fused circuit.
 
-    phi carries cycles [0, split_cycle) applied forward to |in_bits>; psi is
-    the ket U2^dag |out_bits> obtained by applying the fused circuit's
-    moment == depth single-qubit gates (last first, each as u^dag) and then
-    the remaining cycles inversely to |out_bits>.  The overlap <psi|phi>
-    equals the full amplitude <out|U|in>.
+    phi is |in_bits> evolved by the gates of cycles [0, split_cycle) in
+    order.  psi is the ket U2^dag |out_bits>: the fused circuit's
+    moment == depth single-qubit gates (last first, each as u^dag), then the
+    gates of the remaining cycles, last first, each conjugate-transposed.
+    The overlap <psi|phi> equals the full amplitude <out|U|in>.  A
+    single-qubit gate before the last cycle is refused: fuse first.
     """
     d = circuit.depth
     if split_cycle is None:
         split_cycle = d // 2
     if not 0 <= split_cycle <= d:
         raise ValueError(f"split_cycle {split_cycle} outside [0, {d}]")
+    if any(sg.moment < d for sg in circuit.single_qubit):
+        raise ValueError(
+            "two_sided_evolve expects a fused circuit (no single-qubit layers)"
+        )
 
     phi = init_state(circuit.graph, in_bits)
-    evolve(phi, circuit, range(0, split_cycle), "forward")
+    evolve(phi, ((g.pair, g.matrix) for c in circuit.cycles[:split_cycle] for g in c))
 
     psi = init_state(circuit.graph, out_bits)
     for sg in reversed(circuit.single_qubit):
         apply_single_qubit(psi, sg.qubit, sg.matrix.conj().T)
-    evolve(psi, circuit, range(split_cycle, d), "inverse")
+    later = [g for c in circuit.cycles[split_cycle:] for g in c]
+    evolve(psi, ((g.pair, g.matrix.conj().T) for g in reversed(later)))
     return phi, psi

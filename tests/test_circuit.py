@@ -228,6 +228,31 @@ class TestFileFormat:
         with pytest.raises(CircuitFormatError, match="twice"):
             parse_circuit(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "qubit,moment,message",
+        [
+            (0, 5, "single_qubit[0]: bad moment 5"),
+            (0, -1, "single_qubit[0]: bad moment -1"),
+            (7, 0, "single_qubit[0]: bad qubit 7"),
+        ],
+        ids=["moment-past-depth", "negative-moment", "qubit-out-of-range"],
+    )
+    def test_single_qubit_range_checked(self, qubit, moment, message):
+        # the same check whether the circuit is built in Python or parsed
+        graph = CircuitGraph(2, frozenset({(0, 1)}))
+        cycles = ((Gate((0, 1), cz_matrix()),),)
+        with pytest.raises(CircuitFormatError, match=re.escape(message)):
+            Circuit(graph, cycles, (SingleQubitGate(qubit, moment, H),))
+        flat = [[z.real, z.imag] for z in H.reshape(-1)]
+        doc = {
+            "num_qubits": 2,
+            "edges": [[0, 1]],
+            "cycles": [[{"pair": [0, 1], "gate": "cz"}]],
+            "single_qubit": [{"qubit": qubit, "moment": moment, "matrix": flat}],
+        }
+        with pytest.raises(CircuitFormatError, match=re.escape(message)):
+            parse_circuit(json.dumps(doc))
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(CircuitFormatError, match="line 1"):
             parse_circuit(b'{"num_qubits": }')

@@ -192,6 +192,15 @@ class TestAmplitude:
         assert rc == 1
         assert "error" in json.loads(err)
 
+    def test_failed_allocation_is_json_error(self, capsys, circuit_file, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(tnsim.cli, "compute_amplitude", no_memory)
+        rc, out, err = run(capsys, base_argv("amplitude", circuit_file))
+        assert (rc, out) == (1, "")
+        assert err == '{"error": "MemoryError: Unable to allocate 32.0 GiB"}\n'
+
     def test_config_supplies_defaults(self, capsys, circuit_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max-rank": 4}))

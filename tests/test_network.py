@@ -17,6 +17,7 @@ from tnsim.network import (
     PLANNER_STATE_BUDGET,
     CutPlan,
     CutPlanError,
+    TensorNetwork,
     build_overlap_network,
     compute_amplitude,
     contract_along_path,
@@ -26,6 +27,7 @@ from tnsim.network import (
 )
 from tnsim.oracle import amplitude_oracle
 from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
+from tnsim.tensor import Tensor
 from tnsim.tns import init_state, two_sided_evolve
 
 from conftest import random_bits
@@ -42,11 +44,31 @@ def full_contract(net) -> complex:
     return contract_along_path(net, order)[0]
 
 
+class TestTensorNetwork:
+    def test_edges_read_from_the_tensors(self):
+        a = Tensor(np.ones((2, 3)), ((0, 1), (0, 2)))
+        b = Tensor(np.ones(2), ((0, 1),))
+        c = Tensor(np.ones(3), ((0, 2),))
+        net = TensorNetwork({0: a, 1: b, 2: c})
+        assert net.edges == {(0, 1): 2, (0, 2): 3}
+
+    def test_endpoint_extents_must_agree(self):
+        a = Tensor(np.ones(2), ((0, 1),))
+        b = Tensor(np.ones(3), ((0, 1),))
+        with pytest.raises(ValueError, match="extents 2 != 3"):
+            TensorNetwork({0: a, 1: b})
+
+    def test_label_on_one_tensor_rejected(self):
+        a = Tensor(np.ones((2, 2)), ((0, 1), (0, 2)))
+        b = Tensor(np.ones(2), ((0, 1),))
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) on 1 tensors, expected 2"):
+            TensorNetwork({0: a, 1: b})
+
+
 class TestBuildOverlapNetwork:
     def test_identical_product_states_give_one(self):
         graph = CircuitGraph(3, frozenset({(0, 1), (1, 2)}))
         net = build_overlap_network(init_state(graph, "010"), init_state(graph, "010"))
-        net.validate()
         assert full_contract(net) == pytest.approx(1.0)
 
     def test_orthogonal_product_states_give_zero(self):
@@ -142,7 +164,6 @@ class TestSliceNetwork:
         sliced = slice_network(net, plan, 0)
         assert (0, 1) not in sliced.edges
         assert (0, 1) not in sliced.tensors[0].labels
-        sliced.validate()
 
     def test_mixed_radix_decoding(self):
         net = self.make()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from tnsim import tns
 from tnsim.circuit import (
     Circuit,
     CircuitGraph,
     Gate,
     SingleQubitGate,
     cz_matrix,
+    edge_key,
     fsim_matrix,
     fuse_single_qubit_gates,
     generate_lattice,
@@ -46,6 +48,18 @@ def state_vector(state) -> np.ndarray:
         ]
     order = [labels.index(PHYS + str(q)) for q in reversed(range(n))]
     return acc.transpose(order).reshape(-1)
+
+
+def gate_stream(circuit) -> list:
+    """The circuit's two-qubit gates as ``(pair, matrix)``, in order."""
+    return [(g.pair, g.matrix) for cycle in circuit.cycles for g in cycle]
+
+
+def absorb_uncompressed(state, sg, pair) -> None:
+    """What ``apply_gate`` does before it compresses the touched bond."""
+    e = edge_key(*pair)
+    tns._absorb_factor(state, pair[0], sg.p, e)
+    tns._absorb_factor(state, pair[1], sg.q, e)
 
 
 class TestInitState:
@@ -108,7 +122,7 @@ class TestApplyGate:
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         s = init_state(graph, "00")
         sg = split_gate_matrix(iswap_matrix())
-        apply_gate(s, sg, (0, 1), compress=False)
+        absorb_uncompressed(s, sg, (0, 1))
         assert s.bond_dims[(0, 1)] == 4
 
     def test_matches_oracle_after_one_gate(self):
@@ -131,7 +145,7 @@ class TestCompressEdge:
     def test_never_grows_and_floors_at_one(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         s = init_state(graph, "00")
-        apply_gate(s, split_gate_matrix(fsim_matrix(0.7, 0.3)), (0, 1), compress=False)
+        absorb_uncompressed(s, split_gate_matrix(fsim_matrix(0.7, 0.3)), (0, 1))
         before = state_vector(s)
         compress_edge(s, (0, 1))
         assert 1 <= s.bond_dims[(0, 1)] <= 2
@@ -141,7 +155,8 @@ class TestCompressEdge:
         graph = generate_lattice("square", 2, 3)
         c = fuse_single_qubit_gates(generate_rqc(graph, 4, seed=21))
         s = init_state(graph, "000000")
-        evolve(s, c, compress=False)
+        for pair, matrix in gate_stream(c):
+            absorb_uncompressed(s, split_gate_matrix(matrix), pair)
         before = state_vector(s)
         for e in sorted(graph.edges):
             compress_edge(s, e)
@@ -173,7 +188,7 @@ class TestEvolve:
         c = fuse_single_qubit_gates(generate_rqc(graph, 3, seed=1))
         s = init_state(graph, "0000")
         before = state_vector(s)
-        evolve(s, c, range(0, 0))
+        evolve(s, [])
         np.testing.assert_allclose(state_vector(s), before)
 
     def test_forward_matches_oracle(self, rng):
@@ -182,7 +197,7 @@ class TestEvolve:
             c = fuse_single_qubit_gates(generate_rqc(graph, 4, seed=seed))
             bits = random_bits(rng, 6)
             s = init_state(graph, bits)
-            evolve(s, c)
+            evolve(s, gate_stream(c))
             np.testing.assert_allclose(
                 state_vector(s), full_state_evolve(c, bits), atol=1e-10
             )
@@ -191,8 +206,8 @@ class TestEvolve:
         graph = generate_lattice("square", 2, 2)
         c = fuse_single_qubit_gates(generate_rqc(graph, 3, seed=5))
         s = init_state(graph, "0101")
-        evolve(s, c, direction="forward")
-        evolve(s, c, direction="inverse")
+        evolve(s, gate_stream(c))
+        evolve(s, [(pair, m.conj().T) for pair, m in reversed(gate_stream(c))])
         expected = np.zeros(16)
         expected[int("0101"[::-1], 2)] = 1.0
         np.testing.assert_allclose(state_vector(s), expected, atol=1e-10)
@@ -201,20 +216,14 @@ class TestEvolve:
         graph = generate_lattice("square", 3, 3)
         c = fuse_single_qubit_gates(generate_rqc(graph, 5, seed=17))
         s = init_state(graph, "0" * 9)
-        evolve(s, c)
+        evolve(s, gate_stream(c))
         assert np.linalg.norm(state_vector(s)) == pytest.approx(1.0, abs=1e-10)
 
     def test_unfused_circuit_rejected(self):
         graph = generate_lattice("square", 2, 2)
         c = generate_rqc(graph, 2, seed=0)  # has single-qubit layers
         with pytest.raises(ValueError, match="fused"):
-            evolve(init_state(graph, "0000"), c)
-
-    def test_unknown_direction(self):
-        graph = CircuitGraph(2, frozenset({(0, 1)}))
-        c = Circuit(graph, ())
-        with pytest.raises(ValueError, match="direction"):
-            evolve(init_state(graph, "00"), c, direction="sideways")
+            two_sided_evolve(c, "0000", "0000")
 
 
 class TestTwoSidedEvolve:
