@@ -22,12 +22,7 @@ from .network import (
     slice_network,
 )
 from .oracle import amplitude_oracle, full_state_evolve
-from .pathfind import (
-    NetworkShape,
-    exhaustive_path_oracle,
-    find_optimal_path,
-    treewidth_bound,
-)
+from .pathfind import NetworkShape, find_optimal_path, treewidth_bound
 from .tensor import Tensor, contract_pair, contraction_cost, svd_factorize
 from .tns import TNSState, apply_gate, compress_edge, evolve, init_state, two_sided_evolve
 from .workload import ErrorModel, WorkloadEstimate, estimate_workload

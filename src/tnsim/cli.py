@@ -102,7 +102,7 @@ def _cmd_gen(args) -> int:
         with open(args.output, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.buffer.write(data + b"\n")
+        print(data.decode("ascii"))
     return 0
 
 
@@ -133,6 +133,8 @@ def _verify_one(task) -> tuple[str, float]:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples {args.samples} is negative")
     circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
     rng = np.random.default_rng(args.seed)

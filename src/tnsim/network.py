@@ -11,7 +11,7 @@ contraction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import prod
 from operator import xor
@@ -43,11 +43,7 @@ __all__ = [
 
 
 class CutPlanError(RuntimeError):
-    """Raised when no cut plan satisfies the rank cap; carries the best plan."""
-
-    def __init__(self, message: str, best_plan: "CutPlan"):
-        super().__init__(message)
-        self.best_plan = best_plan
+    """Raised when no cut plan satisfies the rank cap."""
 
 
 @dataclass
@@ -76,28 +72,17 @@ class TensorNetwork:
 
 @dataclass(frozen=True)
 class CutPlan:
-    """Edges to slice, their extents and, once the planner has validated the
-    plan, the contraction path every slice follows and its per-slice score."""
+    """Distinct edges to slice, their extents, and the contraction path that
+    the planner validated for every slice with its per-slice score."""
 
     cut_edges: tuple[Edge, ...]
     extents: tuple[int, ...]
-    path: tuple[int, ...] | None = None
-    score: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(set(self.cut_edges)) != len(self.cut_edges):
-            raise ValueError("duplicate cut edges")
+    path: tuple[int, ...]
+    score: int
 
     @property
     def slice_count(self) -> int:
         return prod(self.extents) if self.extents else 1
-
-    @classmethod
-    def for_network(cls, net: TensorNetwork, edges: list[Edge]) -> "CutPlan":
-        for e in edges:
-            if e not in net.edges:
-                raise ValueError(f"cut edge {e} not in network")
-        return cls(tuple(edges), tuple(net.edges[e] for e in edges))
 
 
 def build_overlap_network(phi: TNSState, psi: TNSState) -> TensorNetwork:
@@ -172,7 +157,7 @@ PLANNER_STATE_BUDGET = 1_000_000
 
 
 def _slice_plan(
-    net: TensorNetwork,
+    shape: NetworkShape,
     cuts: list[Edge],
     max_rank: int,
     max_states: int | None = None,
@@ -182,13 +167,17 @@ def _slice_plan(
     Cut edges enter the search at extent 1, so adjacency survives; every
     slice is structurally identical and reuses the path.
     """
-    plan = CutPlan.for_network(net, cuts)
-    shape = NetworkShape.from_network(net)
-    edges = {**shape.edges, **dict.fromkeys(plan.cut_edges, 1)}
+    for e in cuts:
+        if e not in shape.edges:
+            raise ValueError(f"cut edge {e} not in network")
+    if len(set(cuts)) != len(cuts):
+        raise ValueError("duplicate cut edges")
+    edges = {**shape.edges, **dict.fromkeys(cuts, 1)}
     path, score = find_optimal_path(
         NetworkShape(shape.nodes, edges), max_rank, max_states=max_states
     )
-    return replace(plan, path=tuple(path), score=score)
+    extents = tuple(shape.edges[e] for e in cuts)
+    return CutPlan(tuple(cuts), extents, tuple(path), score)
 
 
 def plan_cuts(
@@ -210,15 +199,14 @@ def plan_cuts(
         target_max_rank = treewidth_bound(shape) + 1
     if explicit_edges is not None:
         edges = [tuple(sorted(e)) for e in explicit_edges]
-        return _slice_plan(net, edges, target_max_rank)
+        return _slice_plan(shape, edges, target_max_rank)
     for cuts in chain([[]], _separator_cuts(shape)):
         try:
-            return _slice_plan(net, cuts, target_max_rank, PLANNER_STATE_BUDGET)
+            return _slice_plan(shape, cuts, target_max_rank, PLANNER_STATE_BUDGET)
         except PathSearchError:
             continue
     raise CutPlanError(
-        f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts",
-        CutPlan.for_network(net, cuts),
+        f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts"
     )
 
 

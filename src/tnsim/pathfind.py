@@ -3,7 +3,8 @@
 Best-first dynamic programming over partial absorption paths: states live in
 a priority queue keyed by accumulated cost, each qubit subset is finalized
 once at its cheapest score, and candidate extensions are filtered by a rank
-cap and an almost-connected rule.  With all pruning disabled the search is
+cap and an almost-connected rule.  With no rank cap and that rule off (tests
+turn it off by patching ``_extend_c`` to ``lambda *a: -1``) the search is
 exact (optimal substructure of the path score).
 
 Scores are plain Python integers, so accumulation never overflows.
@@ -14,27 +15,20 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "NetworkShape",
     "PathSearchError",
     "find_optimal_path",
-    "exhaustive_path_oracle",
     "treewidth_bound",
 ]
 
 Edge = tuple[int, int]
 
-EXHAUSTIVE_NODE_CAP = 10
-
 
 class PathSearchError(RuntimeError):
     """Raised when no full contraction path satisfies the constraints."""
-
-    def __init__(self, message: str, largest_subset: int = 0):
-        super().__init__(message)
-        self.largest_subset = largest_subset
 
 
 @dataclass(frozen=True)
@@ -91,46 +85,6 @@ def _step(
     return cost, rank
 
 
-def _score_increment(path: Sequence[int], next_qubit: int, shape: NetworkShape) -> int:
-    """Cost(C^{path}, C^{next_qubit}) from frontier extents only."""
-    if next_qubit in path:
-        raise ValueError(f"qubit {next_qubit} already on the path")
-    cost, _ = _step(shape, shape.open_edges(path), next_qubit)
-    return cost
-
-
-def _connectivity(path: Sequence[int], shape: NetworkShape) -> int:
-    """-1 if the path's induced subgraph is connected, else the single
-    isolated qubit's index.  Two or more isolated components are invalid."""
-    if not path:
-        raise ValueError("empty path")
-    adj = shape.adjacency()
-    members = set(path)
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for q in path:
-        if q in seen:
-            continue
-        comp = {q}
-        stack = [q]
-        while stack:
-            for nb in adj[stack.pop()] & members:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    if len(comps) == 1:
-        return -1
-    singletons = [c for c in comps if len(c) == 1]
-    if len(comps) == 2 and singletons:
-        # the isolated qubit is the most recently added singleton
-        for q in reversed(path):
-            if {q} in singletons:
-                return q
-    raise ValueError(f"path {list(path)} has more than one isolated component")
-
-
 def _extend_c(
     adj: Mapping[int, frozenset[int]], members: frozenset[int], c: int, q: int
 ) -> int | None:
@@ -150,25 +104,21 @@ def _candidates(
     members: frozenset[int],
     c: int,
     max_rank: int | None,
-    connectivity_pruning: bool,
 ) -> Iterator[tuple[int, int, int]]:
     """Admissible next qubits after ``members`` (connectivity flag ``c``),
     in node order, as ``(qubit, step cost, connectivity flag after it)``.
 
-    A candidate must keep the path almost connected (when pruning) and leave
-    an intermediate of rank at most ``max_rank``.
+    A candidate must keep the path almost connected and leave an
+    intermediate of rank at most ``max_rank``.
     """
     adj = shape.adjacency()
     open_edges = shape.open_edges(members)
     for q in shape.nodes:
         if q in members:
             continue
-        if connectivity_pruning:
-            nc = _extend_c(adj, members, c, q)
-            if nc is None:
-                continue
-        else:
-            nc = -1
+        nc = _extend_c(adj, members, c, q)
+        if nc is None:
+            continue
         cost, rank = _step(shape, open_edges, q)
         if max_rank is not None and rank > max_rank:
             continue
@@ -192,7 +142,6 @@ def treewidth_bound(shape: NetworkShape) -> int:
 def find_optimal_path(
     shape: NetworkShape,
     max_rank: int | None = None,
-    connectivity_pruning: bool = True,
     max_states: int | None = None,
 ) -> tuple[list[int], int]:
     """Best-first search for a cheap full contraction path.
@@ -222,46 +171,12 @@ def find_optimal_path(
         largest = max(largest, len(path))
         if len(path) == n:
             return list(path), score
-        for q, cost, nc in _candidates(
-            shape, members, c, max_rank, connectivity_pruning
-        ):
+        for q, cost, nc in _candidates(shape, members, c, max_rank):
             heapq.heappush(heap, (score + cost, -(len(path) + 1), path + (q,), nc))
             pushed += 1
             if max_states is not None and pushed > max_states:
-                raise PathSearchError(
-                    f"search exceeded state budget {max_states}", largest
-                )
+                raise PathSearchError(f"search exceeded state budget {max_states}")
     raise PathSearchError(
         f"no full contraction path found; largest subset reached has "
-        f"{largest} of {n} qubits (rank cap too small?)",
-        largest,
+        f"{largest} of {n} qubits (rank cap too small?)"
     )
-
-
-def exhaustive_path_oracle(shape: NetworkShape) -> tuple[list[int], int]:
-    """Global minimum score over all N! absorption orders (test support)."""
-    nodes = sorted(shape.nodes)
-    n = len(nodes)
-    if n > EXHAUSTIVE_NODE_CAP:
-        raise ValueError(f"{n} nodes exceeds exhaustive cap {EXHAUSTIVE_NODE_CAP}")
-    best_path: list[int] | None = None
-    best_score: int | None = None
-
-    def dfs(path: list[int], members: frozenset[int], score: int) -> None:
-        nonlocal best_path, best_score
-        if len(path) == n:
-            if best_score is None or score < best_score:
-                best_score, best_path = score, list(path)
-            return
-        if best_score is not None and score >= best_score:
-            return  # extension costs are non-negative
-        open_edges = shape.open_edges(members)
-        for q in nodes:
-            if q in members:
-                continue
-            cost = _step(shape, open_edges, q)[0] if members else 0
-            dfs(path + [q], members | {q}, score + cost)
-
-    dfs([], frozenset(), 0)
-    assert best_path is not None and best_score is not None
-    return best_path, best_score

@@ -42,23 +42,14 @@ class TNSState:
     graph: CircuitGraph
     tensors: dict[int, Tensor]
 
-    def _extent(self, q: int, e: Edge) -> int:
-        t = self.tensors[q]
-        return t.dims[t.axis(e)]
-
     @property
     def bond_dims(self) -> dict[Edge, int]:
         """Each edge's extent, read on its lower-index endpoint."""
-        return {e: self._extent(e[0], e) for e in self.graph.edges}
+        ends = {e: self.tensors[e[0]] for e in self.graph.edges}
+        return {e: t.dims[t.axis(e)] for e, t in ends.items()}
 
     def max_bond(self) -> int:
         return max(self.bond_dims.values(), default=1)
-
-    def check_invariants(self) -> None:
-        for q, t in self.tensors.items():
-            assert t.labels == (PHYS, *self.graph.node_edges(q)) and t.dims[0] == 2
-        for k, l in self.graph.edges:
-            assert self._extent(k, (k, l)) == self._extent(l, (k, l))
 
 
 def init_state(graph: CircuitGraph, bitstring: str) -> TNSState:

@@ -1,0 +1,106 @@
+"""Test-only references for the path search and the TNS invariants.
+
+The costs here are read off the shape's edge list, not through the search's
+own step pricing, so agreement with ``find_optimal_path`` is evidence.
+"""
+
+from math import prod
+from typing import Sequence
+from unittest import mock
+
+from tnsim import pathfind
+from tnsim.pathfind import NetworkShape
+from tnsim.tns import PHYS, TNSState
+
+EXHAUSTIVE_NODE_CAP = 10
+
+
+def score_increment(path: Sequence[int], next_qubit: int, shape: NetworkShape) -> int:
+    """Cost(C^{path}, C^{next_qubit}): the product of extents over the edges
+    that leave the path or touch ``next_qubit``."""
+    if next_qubit in path:
+        raise ValueError(f"qubit {next_qubit} already on the path")
+    members = set(path)
+    return prod(
+        ext
+        for (k, l), ext in shape.edges.items()
+        if (k in members) != (l in members) or next_qubit in (k, l)
+    )
+
+
+def connectivity(path: Sequence[int], shape: NetworkShape) -> int:
+    """-1 if the path's induced subgraph is connected, else the single
+    isolated qubit's index.  Two or more isolated components are invalid."""
+    if not path:
+        raise ValueError("empty path")
+    adj = shape.adjacency()
+    members = set(path)
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for q in path:
+        if q in seen:
+            continue
+        comp = {q}
+        stack = [q]
+        while stack:
+            for nb in adj[stack.pop()] & members:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        comps.append(comp)
+    if len(comps) == 1:
+        return -1
+    singletons = [c for c in comps if len(c) == 1]
+    if len(comps) == 2 and singletons:
+        # the isolated qubit is the most recently added singleton
+        for q in reversed(path):
+            if {q} in singletons:
+                return q
+    raise ValueError(f"path {list(path)} has more than one isolated component")
+
+
+def exhaustive_path_oracle(shape: NetworkShape) -> tuple[list[int], int]:
+    """Global minimum score over all N! absorption orders; ties go to the
+    lexicographically first path."""
+    nodes = sorted(shape.nodes)
+    n = len(nodes)
+    if n > EXHAUSTIVE_NODE_CAP:
+        raise ValueError(f"{n} nodes exceeds exhaustive cap {EXHAUSTIVE_NODE_CAP}")
+    best_path: list[int] | None = None
+    best_score: int | None = None
+
+    def dfs(path: list[int], score: int) -> None:
+        nonlocal best_path, best_score
+        if len(path) == n:
+            if best_score is None or score < best_score:
+                best_score, best_path = score, list(path)
+            return
+        if best_score is not None and score >= best_score:
+            return  # extension costs are non-negative
+        for q in nodes:
+            if q in path:
+                continue
+            cost = score_increment(path, q, shape) if path else 0
+            dfs(path + [q], score + cost)
+
+    dfs([], 0)
+    assert best_path is not None and best_score is not None
+    return best_path, best_score
+
+
+def unpruned():
+    """Context in which ``find_optimal_path`` and ``_candidates`` skip the
+    almost-connected rule: every extension is admissible and keeps the path
+    marked connected.  With no rank cap the search is then exact."""
+    return mock.patch.object(pathfind, "_extend_c", lambda *a: -1)
+
+
+def check_invariants(state: TNSState) -> None:
+    """Each node is labelled ``(PHYS, *its edges)`` with physical extent 2,
+    and both endpoints of every edge agree on its extent."""
+    for q, t in state.tensors.items():
+        assert t.labels == (PHYS, *state.graph.node_edges(q)) and t.dims[0] == 2
+    for e in state.graph.edges:
+        ta, tb = (state.tensors[q] for q in e)
+        assert ta.dims[ta.axis(e)] == tb.dims[tb.axis(e)]

@@ -33,16 +33,12 @@ from tnsim.network import (
     slice_network,
 )
 from tnsim.oracle import amplitude_oracle, full_state_evolve
-from tnsim.pathfind import (
-    NetworkShape,
-    exhaustive_path_oracle,
-    find_optimal_path,
-    treewidth_bound,
-)
+from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
 from tnsim.tns import apply_gate, init_state, two_sided_evolve
 from tnsim.workload import ErrorModel, estimate_workload
 
 from conftest import random_bits
+from oracles import exhaustive_path_oracle, unpruned
 from test_tns import state_vector
 
 
@@ -230,7 +226,8 @@ def test_criterion_06_path_search_exactness(report):
     shapes += [random_network_shape(rnd, rnd.randint(5, 8)) for _ in range(40)]
     mismatches = 0
     for shape in shapes:
-        _, got = find_optimal_path(shape, connectivity_pruning=False)
+        with unpruned():
+            _, got = find_optimal_path(shape)
         _, best = exhaustive_path_oracle(shape)
         if got != best:
             mismatches += 1
@@ -264,7 +261,8 @@ def test_criterion_07_pruned_search_quality(report):
             _, optimal = exhaustive_path_oracle(shape)
         else:
             # the unpruned priority-queue search is exact
-            _, optimal = find_optimal_path(shape, connectivity_pruning=False)
+            with unpruned():
+                _, optimal = find_optimal_path(shape)
         results.append(f"{rows}x{cols}: {pruned}/{optimal} = {pruned / optimal:.3f}")
         ok = ok and pruned >= optimal
     report(7, "pruned search quality", ok, "score ratios " + "; ".join(results))

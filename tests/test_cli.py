@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -104,6 +106,16 @@ class TestGen:
         )
         assert rc == 1
         assert "perfect square" in json.loads(err)["error"]
+
+    def test_stdout_is_output_file_plus_newline(self, tmp_path):
+        argv = ["gen", "--lattice", "square", "--size", "9", "--depth", "4",
+                "--seed", "3"]
+        path = tmp_path / "circuit.json"
+        assert main([*argv, "-o", str(path)]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue().encode() == path.read_bytes() + b"\n"
 
     # sha256 of the written file: a change here changes every circuit that
     # tnsim gen writes, including the 54-qubit example in the README
@@ -314,6 +326,11 @@ class TestVerify:
         assert rc == 0
         for line in out.splitlines():
             assert 0 <= json.loads(line)["abs_amplitude"] <= 1 + 1e-12
+
+    def test_negative_samples_is_json_error(self, capsys, circuit_file):
+        rc, out, err = run(capsys, ["verify", "-c", circuit_file, "--samples", "-1"])
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError: --samples -1 is negative"}
 
     def test_circuit_parsed_once(self, capsys, circuit_file, monkeypatch):
         calls = []

@@ -15,7 +15,6 @@ from tnsim.circuit import (
 )
 from tnsim.network import (
     PLANNER_STATE_BUDGET,
-    CutPlan,
     CutPlanError,
     TensorNetwork,
     build_overlap_network,
@@ -132,15 +131,16 @@ class TestPlanCuts:
             plan_cuts(net, explicit_edges=[(0, 5)])
 
     def test_duplicate_cut_edges_rejected(self):
+        graph = CircuitGraph(2, frozenset({(0, 1)}))
+        net = build_overlap_network(init_state(graph, "00"), init_state(graph, "00"))
         with pytest.raises(ValueError, match="duplicate"):
-            CutPlan(((0, 1), (0, 1)), (2, 2))
+            plan_cuts(net, explicit_edges=[(0, 1), (1, 0)])
 
     def test_impossible_cap_raises_with_best_plan(self):
         graph = generate_lattice("square", 2, 3)
         net = overlap_net(generate_rqc(graph, 4, seed=4), "000000", "111111")
-        with pytest.raises(CutPlanError) as exc:
+        with pytest.raises(CutPlanError, match="unachievable"):
             plan_cuts(net, target_max_rank=-1)
-        assert isinstance(exc.value.best_plan, CutPlan)
 
 
 class TestSliceNetwork:

@@ -1,17 +1,17 @@
+import re
+
 import pytest
 
 from tnsim.pathfind import (
     NetworkShape,
     PathSearchError,
     _candidates,
-    _connectivity,
-    _score_increment,
-    exhaustive_path_oracle,
     find_optimal_path,
     treewidth_bound,
 )
 
 from conftest import random_network_shape
+from oracles import connectivity, exhaustive_path_oracle, score_increment, unpruned
 
 
 def grid_shape(rows: int, cols: int, extent: int = 2) -> NetworkShape:
@@ -43,53 +43,53 @@ class TestScoreIncrement:
     def test_chain_example(self):
         net = path_shape(4)
         # absorbing 2 into {0,1}: shared bond (1,2)=2, open bond (2,3)=2
-        assert _score_increment([0, 1], 2, net) == 4
+        assert score_increment([0, 1], 2, net) == 4
 
     def test_first_absorption_includes_both_frontiers(self):
         net = path_shape(3)
         # {0} + 1: shared (0,1)=2 times open (1,2)=2
-        assert _score_increment([0], 1, net) == 4
+        assert score_increment([0], 1, net) == 4
         # {0} + 2 (outer product): open (0,1)=2 times open (1,2)=2
-        assert _score_increment([0], 2, net) == 4
+        assert score_increment([0], 2, net) == 4
 
     def test_internal_edges_do_not_count(self):
         net = grid_shape(2, 2)
         # {0,1,2} + 3 closes two bonds; no open edges remain
-        assert _score_increment([0, 1, 2], 3, net) == 4
+        assert score_increment([0, 1, 2], 3, net) == 4
 
     def test_matches_exhaustive_oracle_cost(self, rnd):
         for _ in range(10):
             net = random_network_shape(rnd, 6)
             path, score = exhaustive_path_oracle(net)
             total = sum(
-                _score_increment(path[:i], path[i], net) for i in range(1, len(path))
+                score_increment(path[:i], path[i], net) for i in range(1, len(path))
             )
             assert total == score
 
     def test_repeated_qubit_rejected(self):
         with pytest.raises(ValueError, match="already"):
-            _score_increment([0, 1], 1, path_shape(3))
+            score_increment([0, 1], 1, path_shape(3))
 
 
 class TestConnectivity:
     def test_connected_path(self):
-        assert _connectivity([0, 1, 2], path_shape(4)) == -1
+        assert connectivity([0, 1, 2], path_shape(4)) == -1
 
     def test_single_isolated_qubit(self):
-        assert _connectivity([0, 3], path_shape(4)) == 3
+        assert connectivity([0, 3], path_shape(4)) == 3
 
     def test_isolated_is_most_recent(self):
         net = grid_shape(2, 3)
         # {0, 5}: both singletons; 5 was added last
-        assert _connectivity([0, 5], net) == 5
+        assert connectivity([0, 5], net) == 5
 
     def test_two_isolated_components_invalid(self):
         with pytest.raises(ValueError, match="isolated"):
-            _connectivity([0, 2, 5], path_shape(6))
+            connectivity([0, 2, 5], path_shape(6))
 
     def test_empty_path_invalid(self):
         with pytest.raises(ValueError, match="empty"):
-            _connectivity([], path_shape(3))
+            connectivity([], path_shape(3))
 
     def test_random_trajectories_against_component_count(self, rnd):
         for _ in range(30):
@@ -115,13 +115,13 @@ class TestConnectivity:
                     comps.append(comp)
                 singles = [c for c in comps if len(c) == 1]
                 if len(comps) == 1:
-                    assert _connectivity(prefix, net) == -1
+                    assert connectivity(prefix, net) == -1
                 elif len(comps) == 2 and singles:
-                    got = _connectivity(prefix, net)
+                    got = connectivity(prefix, net)
                     assert {got} in singles
                 else:
                     with pytest.raises(ValueError):
-                        _connectivity(prefix, net)
+                        connectivity(prefix, net)
 
 
 class TestNeighbours:
@@ -129,10 +129,10 @@ class TestNeighbours:
         """Oracle for candidate admissibility from whole-path connectivity."""
         extended = path + [q]
         try:
-            new_c = _connectivity(extended, net)
+            new_c = connectivity(extended, net)
         except ValueError:
             return False
-        if _connectivity(path, net) != -1 and new_c != -1:
+        if connectivity(path, net) != -1 and new_c != -1:
             return False  # a pending isolated qubit must be reconnected
         if cap is not None and boundary_rank(net, set(extended)) > cap:
             return False
@@ -146,26 +146,32 @@ class TestNeighbours:
             rnd.shuffle(order)
             path = order[: rnd.randint(1, 8)]
             try:
-                c = _connectivity(path, net)
+                c = connectivity(path, net)
             except ValueError:
                 continue
             expected = [q for q in net.nodes if q not in path
                         and self.predicate(net, path, q, cap)]
-            found = list(_candidates(net, frozenset(path), c, cap, True))
+            found = list(_candidates(net, frozenset(path), c, cap))
             assert [q for q, _, _ in found] == expected
             for q, cost, nc in found:
-                assert cost == _score_increment(path, q, net)
-                assert nc == _connectivity(path + [q], net)
+                assert cost == score_increment(path, q, net)
+                assert nc == connectivity(path + [q], net)
 
     def test_without_connectivity_pruning(self):
         net = path_shape(5)
-        got = _candidates(net, frozenset([0]), -1, None, False)
+        with unpruned():
+            got = list(_candidates(net, frozenset([0]), -1, None))
+            pending = list(_candidates(net, frozenset([0, 3]), 3, None))
         assert [q for q, _, _ in got] == [1, 2, 3, 4]
+        # with 3 isolated, the rule admits only a qubit joining 3 to {0}: none
+        assert [q for q, _, _ in pending] == [1, 2, 4]
+        assert list(_candidates(net, frozenset([0, 3]), 3, None)) == []
 
     def test_rank_cap_filters(self):
         net = grid_shape(3, 3)
         # absorbing the centre alone opens four extent-2 bonds
-        got = _candidates(net, frozenset([0]), -1, 3, False)
+        with unpruned():
+            got = list(_candidates(net, frozenset([0]), -1, 3))
         assert 4 not in [q for q, _, _ in got]
 
 
@@ -201,7 +207,8 @@ class TestFindOptimalPath:
     def test_unpruned_matches_exhaustive(self, rnd):
         for _ in range(20):
             net = random_network_shape(rnd, rnd.randint(4, 7))
-            _, score = find_optimal_path(net, connectivity_pruning=False)
+            with unpruned():
+                _, score = find_optimal_path(net)
             _, best = exhaustive_path_oracle(net)
             assert score == best
 
@@ -211,7 +218,7 @@ class TestFindOptimalPath:
             path, score = find_optimal_path(net)
             assert sorted(path) == sorted(net.nodes)
             total = sum(
-                _score_increment(path[:i], path[i], net) for i in range(1, len(path))
+                score_increment(path[:i], path[i], net) for i in range(1, len(path))
             )
             assert total == score
             _, best = exhaustive_path_oracle(net)
@@ -225,7 +232,8 @@ class TestFindOptimalPath:
         net = grid_shape(3, 3)
         with pytest.raises(PathSearchError) as exc:
             find_optimal_path(net, max_rank=2)
-        assert 0 < exc.value.largest_subset < 9
+        k = re.search(r"largest subset reached has (\d+) of 9", str(exc.value))
+        assert k and 0 < int(k.group(1)) < 9
 
     def test_state_budget_enforced(self):
         net = grid_shape(3, 4)

@@ -27,6 +27,7 @@ from tnsim.tns import (
 )
 
 from conftest import random_bits, random_graph
+from oracles import check_invariants
 
 
 def state_vector(state) -> np.ndarray:
@@ -77,7 +78,7 @@ class TestInitState:
         s = init_state(graph, "0" * 54)
         for q in range(54):
             assert s.tensors[q].rank == 1 + graph.degree(q)
-        s.check_invariants()
+        check_invariants(s)
 
     def test_recovers_basis_state(self, rnd):
         graph = random_graph(rnd, 5)
@@ -116,7 +117,7 @@ class TestApplyGate:
         assert sg.rank == chi
         apply_gate(s, sg, (0, 1))
         assert s.bond_dims[(0, 1)] <= 2
-        s.check_invariants()
+        check_invariants(s)
 
     def test_uncompressed_bond_grows_by_rank(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
@@ -160,7 +161,7 @@ class TestCompressEdge:
         before = state_vector(s)
         for e in sorted(graph.edges):
             compress_edge(s, e)
-        s.check_invariants()
+        check_invariants(s)
         np.testing.assert_allclose(state_vector(s), before, atol=1e-10)
 
     def test_diamond_pattern_stays_small(self):
@@ -282,5 +283,5 @@ class TestTwoSidedEvolve:
         phi, psi = two_sided_evolve(c, "0" * 54, "1" * 54)
         assert phi.max_bond() <= 4
         assert psi.max_bond() <= 4
-        phi.check_invariants()
-        psi.check_invariants()
+        check_invariants(phi)
+        check_invariants(psi)
