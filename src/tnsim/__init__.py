@@ -16,6 +16,7 @@ from .network import (
     CutPlan,
     TensorNetwork,
     build_overlap_network,
+    compile_program,
     compute_amplitude,
     contract_along_path,
     plan_cuts,

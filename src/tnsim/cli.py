@@ -135,6 +135,12 @@ def _verify_one(task) -> tuple[str, float]:
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples {args.samples} is negative")
+    if args.workers is None:
+        workers, source = int(os.environ.get("TNSIM_WORKERS", "1")), "TNSIM_WORKERS"
+    else:
+        workers, source = args.workers, "--workers"
+    if workers < 1:
+        raise ValueError(f"{source} {workers} is below 1")
     circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
     rng = np.random.default_rng(args.seed)
@@ -143,7 +149,6 @@ def _cmd_verify(args) -> int:
         (circuit, in_bits, "".join(rng.choice(["0", "1"], n)), args.oracle)
         for _ in range(args.samples)
     ]
-    workers = args.workers or int(os.environ.get("TNSIM_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, tasks))

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "TensorError",
+    "Gemm",
     "contract_pair",
+    "plan_gemm",
     "svd_factorize",
     "contraction_cost",
 ]
@@ -94,6 +96,107 @@ def _check_pairs(a: Tensor, b: Tensor, pairs: Sequence[tuple[int, int]]) -> None
             )
 
 
+class Gemm(NamedTuple):
+    """How ``contract_pair`` multiplies by BLAS.
+
+    The block operand (``a`` when ``block_is_a``) is read in place as a
+    (P, K, S) array: K is its paired axes, one contiguous run, and P and S
+    its axes before and after the run.  The other operand is read as a
+    (K, N) matrix: ``matrix_axes`` lists its ``paired`` paired axes first,
+    in the block's order, then its N free axes.
+    """
+
+    block_is_a: bool
+    p: int
+    k: int
+    s: int
+    n: int
+    matrix_axes: tuple[int, ...]
+    paired: int
+
+    @property
+    def copies_matrix(self) -> bool:
+        """Whether the matrix operand is copied: it is read in place as a
+        (K, N) or (N, K) matrix only when its paired axes lead or trail."""
+        identity = tuple(range(len(self.matrix_axes)))
+        rotated = self.matrix_axes[self.paired:] + self.matrix_axes[:self.paired]
+        return identity not in (self.matrix_axes, rotated)
+
+    @property
+    def inner(self) -> tuple[int, int, int]:
+        """(M, K, N) of the one GEMM, or of each GEMM of the batch over P:
+        M is S, or P when S is 1."""
+        return (self.s if self.s > 1 else self.p, self.k, self.n)
+
+
+def _as_block(
+    dims_blk: Sequence[int],
+    dims_mat: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    block_is_a: bool,
+) -> Gemm | None:
+    """The plan with the operand of ``dims_blk`` as the block, or None when
+    its paired axes (first of each pair) are not one contiguous run."""
+    run = sorted(pairs)
+    start = run[0][0] if run else len(dims_blk)
+    stop = start + len(run)
+    if [i for i, _ in run] != list(range(start, stop)):
+        return None
+    paired = tuple(j for _, j in run)
+    free = tuple(j for j in range(len(dims_mat)) if j not in paired)
+    return Gemm(
+        block_is_a,
+        prod(dims_blk[:start]),
+        prod(dims_blk[start:stop]),
+        prod(dims_blk[stop:]),
+        prod(dims_mat[j] for j in free),
+        paired + free,
+        len(paired),
+    )
+
+
+def plan_gemm(
+    dims_a: Sequence[int],
+    dims_b: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+) -> Gemm | None:
+    """The multiplication ``contract_pair`` makes for these shapes, or None
+    when the larger operand (``a`` on a tie) has its paired axes in more
+    than one run.  The larger operand is the block, unless that copies the
+    smaller one and the smaller one as the block copies nothing."""
+    swapped = [(ib, ia) for ia, ib in pairs]
+    with_a = _as_block(dims_a, dims_b, pairs, True)
+    with_b = _as_block(dims_b, dims_a, swapped, False)
+    if prod(dims_a) >= prod(dims_b):
+        large, small = with_a, with_b
+    else:
+        large, small = with_b, with_a
+    if large and large.copies_matrix and small and not small.copies_matrix:
+        return small
+    return large
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, g: Gemm) -> np.ndarray:
+    """``a`` contracted with ``b`` as ``g`` plans it, flat in result order:
+    [P, S, N] when ``a`` is the block, [N, P, S] when ``b`` is."""
+    block, other = (a, b) if g.block_is_a else (b, a)
+    # a view unless the paired axes neither lead nor trail
+    m = other.transpose(g.matrix_axes).reshape(g.k, g.n)
+    if g.block_is_a:
+        if g.s == 1:
+            return block.reshape(g.p, g.k) @ m
+        if g.p == 1:
+            return block.reshape(g.k, g.s).T @ m
+        return np.matmul(block.reshape(g.p, g.k, g.s).transpose(0, 2, 1), m)
+    if g.s == 1:
+        return m.T @ block.reshape(g.p, g.k).T
+    if g.p == 1:
+        return m.T @ block.reshape(g.k, g.s)
+    out = np.empty((g.n, g.p, g.s), dtype=np.result_type(a, b))
+    np.matmul(m.T, block.reshape(g.p, g.k, g.s), out=out.transpose(1, 0, 2))
+    return out
+
+
 def contract_pair(
     a: Tensor, b: Tensor, pairs: Sequence[tuple[int, int]]
 ) -> Tensor:
@@ -101,13 +204,28 @@ def contract_pair(
 
     The result carries the unpaired axes of ``a`` followed by the unpaired
     axes of ``b``, labels carried over from the inputs.
+
+    Copy-free rule: when the paired axes of the larger operand form one
+    contiguous run, so that it reads as a (P, K, S) block, that operand is
+    used as a view and only the smaller one is transposed, to K's order
+    (not even that when its paired axes already lead or trail in that
+    order).  The roles swap when only the swap avoids that transposition.
+    The step is one GEMM when P or S is 1, else one GEMM per index of P.
+    Any other layout falls back to ``np.tensordot``, which copies both
+    operands into matrices.
     """
     _check_pairs(a, b, pairs)
     axes_a = [ia for ia, _ in pairs]
     axes_b = [ib for _, ib in pairs]
-    out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    labels = tuple(l for i, l in enumerate(a.labels) if i not in set(axes_a))
-    labels += tuple(l for i, l in enumerate(b.labels) if i not in set(axes_b))
+    free_a = [i for i in range(a.rank) if i not in axes_a]
+    free_b = [i for i in range(b.rank) if i not in axes_b]
+    g = plan_gemm(a.dims, b.dims, pairs)
+    if g is None:
+        out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
+    else:
+        dims = [a.dims[i] for i in free_a] + [b.dims[i] for i in free_b]
+        out = _matmul(a.data, b.data, g).reshape(dims)
+    labels = tuple(a.labels[i] for i in free_a) + tuple(b.labels[i] for i in free_b)
     return Tensor(out, labels)
 
 

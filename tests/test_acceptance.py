@@ -27,6 +27,7 @@ from tnsim.circuit import (
 from tnsim.cli import main
 from tnsim.network import (
     build_overlap_network,
+    compile_program,
     compute_amplitude,
     contract_along_path,
     plan_cuts,
@@ -182,12 +183,16 @@ def test_criterion_05_slice_sum_identity(report):
         fused = fuse_single_qubit_gates(circuit)
         phi, psi = two_sided_evolve(fused, random_bits(rng, n), random_bits(rng, n))
         net = build_overlap_network(phi, psi)
-        order, _ = find_optimal_path(NetworkShape.from_network(net))
-        whole = contract_along_path(net, order)[0]
+        shape = NetworkShape.from_network(net)
+        order, _ = find_optimal_path(shape)
+        whole = contract_along_path(net, compile_program(shape, order))
         edges = rnd.sample(sorted(net.edges), rnd.randint(1, 3))
         plan = plan_cuts(net, explicit_edges=edges)
+        program = compile_program(
+            NetworkShape.from_network(slice_network(net, plan, 0)), order
+        )
         total = sum(
-            contract_along_path(slice_network(net, plan, s), order)[0]
+            contract_along_path(slice_network(net, plan, s), program)
             for s in range(plan.slice_count)
         )
         worst = max(worst, abs(total - whole))

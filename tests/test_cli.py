@@ -332,6 +332,33 @@ class TestVerify:
         assert rc == 1 and out == ""
         assert json.loads(err) == {"error": "ValueError: --samples -1 is negative"}
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_worker_count_below_one_is_json_error(
+        self, capsys, circuit_file, monkeypatch, count
+    ):
+        monkeypatch.setattr(tnsim.cli, "compute_amplitude", None)  # never reached
+        rc, out, err = run(
+            capsys, ["verify", "-c", circuit_file, "--samples", "2", "--workers", count]
+        )
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": f"ValueError: --workers {count} is below 1"}
+
+    def test_environment_worker_count_below_one_is_json_error(
+        self, capsys, circuit_file, monkeypatch
+    ):
+        monkeypatch.setattr(tnsim.cli, "compute_amplitude", None)  # never reached
+        monkeypatch.setenv("TNSIM_WORKERS", "0")
+        rc, out, err = run(capsys, ["verify", "-c", circuit_file, "--samples", "2"])
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError: TNSIM_WORKERS 0 is below 1"}
+
+    def test_flag_overrides_environment(self, capsys, circuit_file, monkeypatch):
+        monkeypatch.setenv("TNSIM_WORKERS", "0")
+        rc, out, _ = run(
+            capsys, ["verify", "-c", circuit_file, "--samples", "1", "--workers", "1"]
+        )
+        assert rc == 0 and len(out.splitlines()) == 1
+
     def test_circuit_parsed_once(self, capsys, circuit_file, monkeypatch):
         calls = []
 

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from tnsim.network import (
     CutPlanError,
     TensorNetwork,
     build_overlap_network,
+    compile_program,
     compute_amplitude,
     contract_along_path,
     overlap_network,
@@ -38,9 +39,12 @@ def overlap_net(circuit, in_bits, out_bits, split=None):
     return build_overlap_network(phi, psi)
 
 
+def program_for(net, path):
+    return compile_program(NetworkShape.from_network(net), path)
+
+
 def full_contract(net) -> complex:
-    order = sorted(net.tensors)
-    return contract_along_path(net, order)[0]
+    return contract_along_path(net, program_for(net, sorted(net.tensors)))
 
 
 class TestTensorNetwork:
@@ -190,20 +194,21 @@ class TestContractAlongPath:
     def test_path_permutation_invariance(self, rnd):
         graph = generate_lattice("square", 2, 3)
         net = overlap_net(generate_rqc(graph, 4, seed=10), "000000", "010101")
-        base, _ = contract_along_path(net, sorted(net.tensors))
+        base = full_contract(net)
         for _ in range(5):
             order = sorted(net.tensors)
             rnd.shuffle(order)
-            value, stats = contract_along_path(net, order)
+            program = program_for(net, order)
+            value = contract_along_path(net, program)
             assert value == pytest.approx(base, abs=1e-12)
-            assert isinstance(stats["multiplies"], int)
-            assert stats["peak_rank"] >= 0
+            assert isinstance(program.multiplies, int)
+            assert program.peak_rank >= 0
 
     def test_non_permutation_rejected(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         net = build_overlap_network(init_state(graph, "00"), init_state(graph, "00"))
         with pytest.raises(ValueError, match="permutation"):
-            contract_along_path(net, [0, 0])
+            program_for(net, [0, 0])
 
 
 class TestComputeAmplitude:
@@ -286,6 +291,15 @@ class TestSearchOnOverlapNetworks:
             31241274368,
         )
 
+    def test_square_4x4_d11_program_copies_nothing(self):
+        shape = lattice_overlap_shape("square", 4, 4, 11)
+        path = [0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 11, 14, 15]
+        program = compile_program(shape, path)
+        assert program.copied == 0
+        assert program.multiplies == 31241274368
+        # absorbing node 9: 2^23-element accumulator, 2^20 node, 2^25 result
+        assert max(step.elements for step in program.steps) == 2**23 + 2**20 + 2**25
+
     def test_sycamore_6x6_d8_at_cap_5(self):
         shape = lattice_overlap_shape("sycamore-like", 6, 6, 8)
         assert find_optimal_path(shape, 5) == (
@@ -297,3 +311,107 @@ class TestSearchOnOverlapNetworks:
             [(5, 11)],
             [(5, 11), (24, 30)],
         ]
+
+
+def random_grid_network(rng, rows: int, cols: int) -> TensorNetwork:
+    """A closed network on a rows x cols grid with extents 2-4 and
+    unit-norm random tensors, so its value has modulus at most 1."""
+    graph = generate_lattice("square", rows, cols)
+    ext = {e: int(rng.integers(2, 5)) for e in sorted(graph.edges)}
+    tensors = {}
+    for q in range(graph.num_qubits):
+        legs = tuple(e for e in sorted(ext) if q in e)
+        shape = tuple(ext[e] for e in legs)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensors[q] = Tensor(data / np.linalg.norm(data), legs)
+    return TensorNetwork(tensors)
+
+
+def tensordot_fold(net, path):
+    """The value of ``net`` folded with ``np.tensordot`` in path order, and
+    each step's live set: accumulator + node + result elements."""
+    data, labels = net.tensors[path[0]].data, net.tensors[path[0]].labels
+    live = []
+    for q in path[1:]:
+        t = net.tensors[q]
+        shared = [lab for lab in labels if lab in t.labels]
+        out = np.tensordot(
+            data, t.data,
+            ([labels.index(lab) for lab in shared], [t.axis(lab) for lab in shared]),
+        )
+        live.append(data.size + t.data.size + out.size)
+        labels = tuple(lab for lab in labels + t.labels if lab not in shared)
+        data = out
+    return complex(data), live
+
+
+def copy_free_program_exists(shape: NetworkShape, path) -> bool:
+    """Whether some program runs ``path`` without copying an accumulator.
+
+    A step copies nothing exactly when the node's edges form one run of the
+    accumulator's axis order; its result keeps the other axes in order and
+    puts the node's free axes before or after them.
+    """
+    legs = {q: shape.open_edges((q,)) for q in path}
+    layouts = set(permutations(legs[path[0]]))
+    for q in path[1:]:
+        reached = set()
+        for layout in layouts:
+            run = [i for i, e in enumerate(layout) if e in legs[q]]
+            if run and run[-1] - run[0] + 1 != len(run):
+                continue
+            rest = tuple(e for e in layout if e not in legs[q])
+            for order in permutations(legs[q].difference(layout)):
+                reached |= {rest + order, order + rest}
+        layouts = reached
+    return bool(layouts)
+
+
+class TestContractionProgram:
+    """Programs compiled on random grids, checked against shapes and the
+    plain tensordot fold."""
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4)])
+    def test_program_matches_tensordot_fold(self, rng, rows, cols):
+        for _ in range(4):
+            net = random_grid_network(rng, rows, cols)
+            shape = NetworkShape.from_network(net)
+            path, score = find_optimal_path(shape)
+            program = compile_program(shape, path)
+            value, live = tensordot_fold(net, path)
+            assert contract_along_path(net, program) == pytest.approx(value, abs=1e-12)
+            assert [step.elements for step in program.steps] == live
+            assert program.multiplies == score
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4)])
+    def test_copies_only_where_every_program_copies(self, rng, rows, cols):
+        copy_free = 0
+        for _ in range(20):
+            shape = NetworkShape.from_network(random_grid_network(rng, rows, cols))
+            path, _ = find_optimal_path(shape)
+            program = compile_program(shape, path)
+            assert (program.copied == 0) == copy_free_program_exists(shape, path)
+            copy_free += program.copied == 0
+        assert copy_free > 10
+
+    def test_one_contract_pair_call_per_step(self, rng, monkeypatch):
+        net = random_grid_network(rng, 3, 3)
+        program = program_for(net, sorted(net.tensors))
+        calls = []
+        pair = network.contract_pair
+        monkeypatch.setattr(
+            network, "contract_pair", lambda *args: calls.append(args) or pair(*args)
+        )
+        contract_along_path(net, program)
+        assert len(calls) == len(program.steps) == len(net.tensors) - 1
+
+    def test_cut_edges_left_out_of_the_program(self, rng):
+        net = random_grid_network(rng, 3, 3)
+        plan = plan_cuts(net, explicit_edges=[(0, 1), (4, 5)])
+        program = program_for(slice_network(net, plan, 0), list(plan.path))
+        total = sum(
+            contract_along_path(slice_network(net, plan, s), program)
+            for s in range(plan.slice_count)
+        )
+        assert total == pytest.approx(full_contract(net), abs=1e-12)
+        assert program.multiplies == plan.score

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tnsim.tensor import (
     TensorError,
     contract_pair,
     contraction_cost,
+    plan_gemm,
     svd_factorize,
 )
 
@@ -110,6 +112,70 @@ class TestContractPair:
         b = Tensor(np.zeros((2, 2)), ("c", "d"))
         with pytest.raises(TensorError, match="repeated"):
             contract_pair(a, b, [(0, 0), (0, 1)])
+
+
+def large_and_small(rng, run_start):
+    """A rank-4 operand whose axes run_start, run_start + 1 pair, in
+    reverse order, with the first two axes of a rank-3 operand."""
+    large = Tensor(crandn(rng, 2, 3, 4, 3), tuple(f"l{i}" for i in range(4)))
+    k0, k1 = large.dims[run_start], large.dims[run_start + 1]
+    small = Tensor(crandn(rng, k1, k0, 2), ("s0", "s1", "s2"))
+    return large, small, [(run_start + 1, 0), (run_start, 1)]
+
+
+class TestContractPairLayouts:
+    """The copy-free multiplication against the loop oracle, for each place
+    of the larger operand's paired run and both operand orders."""
+
+    @pytest.mark.parametrize("run_start", [0, 1, 2], ids=["prefix", "middle", "suffix"])
+    def test_large_first(self, rng, run_start):
+        large, small, pairs = large_and_small(rng, run_start)
+        assert plan_gemm(large.dims, small.dims, pairs).block_is_a
+        out = contract_pair(large, small, pairs)
+        expected = loop_contract(large, small, pairs)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("run_start", [0, 1, 2], ids=["prefix", "middle", "suffix"])
+    def test_large_second(self, rng, run_start):
+        large, small, pairs = large_and_small(rng, run_start)
+        swapped = [(ib, ia) for ia, ib in pairs]
+        assert not plan_gemm(small.dims, large.dims, swapped).block_is_a
+        out = contract_pair(small, large, swapped)
+        np.testing.assert_allclose(
+            out.data, loop_contract(small, large, swapped), atol=1e-12
+        )
+
+    def test_small_operand_in_any_axis_order(self, rng):
+        large, _, _ = large_and_small(rng, 1)
+        small = Tensor(crandn(rng, 3, 2, 4), ("s0", "s1", "s2"))  # run in the middle
+        pairs = [(1, 0), (2, 2)]
+        out = contract_pair(large, small, pairs)
+        expected = loop_contract(large, small, pairs)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_non_contiguous_run_falls_back(self, rng):
+        large = Tensor(crandn(rng, 2, 3, 4, 3), tuple(f"l{i}" for i in range(4)))
+        small = Tensor(crandn(rng, 2, 4, 2), ("s0", "s1", "s2"))
+        pairs = [(0, 0), (2, 1)]
+        assert plan_gemm(large.dims, small.dims, pairs) is None
+        out = contract_pair(large, small, pairs)
+        expected = loop_contract(large, small, pairs)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_large_operand_is_not_copied(self, rng):
+        # 2^20 elements, 16 MiB, paired on its two middle axes
+        large = Tensor(crandn(rng, 64, 16, 16, 64), tuple(f"l{i}" for i in range(4)))
+        small = Tensor(crandn(rng, 16, 16, 4), ("s0", "s1", "s2"))
+        pairs = [(1, 0), (2, 1)]
+        swapped = [(j, i) for i, j in pairs]
+        for a, b, ab in ((large, small, pairs), (small, large, swapped)):
+            tracemalloc.start()
+            try:
+                contract_pair(a, b, ab)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < large.data.nbytes / 4
 
 
 class TestSvdFactorize:
