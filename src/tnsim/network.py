@@ -38,6 +38,7 @@ __all__ = [
     "plan_cuts",
     "slice_network",
     "ContractionProgram",
+    "Window",
     "compile_program",
     "contract_along_path",
     "compute_amplitude",
@@ -245,12 +246,29 @@ def slice_network(
 # slower than one GEMM of the same multiplies at S = 64, 32 and 16.
 THIN_GEMM = 32
 
+# One ``contract_pair`` call costs about as much time as CALL multiplies at
+# the full rate, on top of its own multiplies.  Measured with OpenBLAS on 2
+# cores: a call on rank-3 or rank-4 operands of extent 2 took 22-29 us, and
+# a 1024^3 complex GEMM ran 1.3e10-1.5e10 multiplies/s.
+CALL = 400_000
+
+# Copying an accumulator element into a new axis order costs about as much
+# time as COPY multiplies.  Measured with numpy on 2 cores: moving the middle
+# or the last axis of a 2^23-element array to the front, a quarter at a time,
+# took 6 and 12 ns per element, 85 and 170 multiplies at 1.4e10/s.
+COPY = 128
+
+# A window may add estimated time (its extra calls, the read of its input
+# when its axis does not lead, thinner GEMMs) up to this fraction of the
+# multiplies of its steps.
+WINDOW_SLACK = 0.02
+
 
 @dataclass(frozen=True)
 class Step:
     """Absorb ``node``, its axes in the order ``labels``, into the
-    accumulator through one ``contract_pair`` call; the node is the first
-    operand when ``node_first``.  ``elements`` is the step's live set:
+    accumulator through ``contract_pair``; the node is the first operand
+    when ``node_first``.  ``elements`` is the step's live set unchunked:
     accumulator + node + result elements."""
 
     node: int
@@ -260,32 +278,51 @@ class Step:
 
 
 @dataclass(frozen=True)
+class Window:
+    """Steps ``start`` to ``stop`` (inclusive) run once per block of the
+    accumulator axis ``axis``, which none of their nodes carries, cut into
+    ``blocks`` equal blocks of extent 2 or more.  Each block is read with
+    ``axis`` moved to the front (a view when it already leads), and each
+    block's result is written into the window's output."""
+
+    start: int
+    stop: int
+    axis: Edge
+    blocks: int
+
+
+@dataclass(frozen=True)
 class ContractionProgram:
     """A path compiled against one slice's shape (every slice of a plan has
-    the same): the first node's axis order, then one ``Step`` per node.
+    the same): the first node's axis order, one ``Step`` per node, and the
+    windows that run some of the steps one block at a time.
 
     ``copied`` counts the accumulator elements that steps copy into a new
     axis order; 0 when every step multiplies the accumulator in place.
+    ``peak_elements`` is the program's largest live set: a step's
+    ``elements`` outside windows; inside a window, its whole input and
+    output and all its nodes, plus one block of the step's accumulator and
+    one of its result.
     """
 
     first: int
     labels: tuple[Edge, ...]
     steps: tuple[Step, ...]
+    windows: tuple[Window, ...]
     multiplies: int
     peak_rank: int
     copied: int
+    peak_elements: int
 
 
 def _rank(labels, ext: dict) -> int:
     return sum(1 for lab in labels if ext[lab] > 1)
 
 
-def _moves(
-    layout: tuple[Edge, ...], q: int, legs: tuple[Edge, ...], ext: dict, widest: int
-):
-    """Each way to absorb node ``q`` into an accumulator whose axes are in
-    the order ``layout``: (step, result layout, copied elements, estimated
-    time in multiplies).
+def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: int):
+    """Each way to absorb a node with edges ``legs`` into an accumulator
+    whose axes are in the order ``layout``: (node axis order, node first,
+    result layout, copied elements, estimated time in multiplies).
 
     The node's paired axes go first, in the accumulator's order, so only
     the order of its free axes and the operand order are chosen.  The node
@@ -301,7 +338,6 @@ def _moves(
     k = prod(ext[lab] for lab in shared)
     n = prod(ext[lab] for lab in free)
     multiplies = acc * n
-    elements = acc + k * n + multiplies // k
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
     narrow = max(_rank(layout, ext), _rank(legs, ext)) <= widest
     for order in permutations(free):
@@ -320,7 +356,59 @@ def _moves(
                 inner = g.inner
             work = multiplies * (1 + THIN_GEMM / min(inner))
             result = order + rest if node_first else rest + order
-            yield Step(q, labels, node_first, elements), result, copied, work
+            yield labels, node_first, result, copied, work
+
+
+def _search(path, legs, ext, widest, plain, starts, moves, call=0.0):
+    """The least (copied, estimated time) first axis order and moves, one
+    (node axis order, node first, window or None) per step, or None.
+
+    Step ``t`` runs unchunked only where ``plain[t]``; it may also open a
+    window of ``starts[t]``, which reads its blocks with the window's axis
+    moved to the front (``COPY`` per element unless it leads already), or
+    run in the window open before it.  A DP over (accumulator axis order,
+    open window), memoised per step; each call costs ``call`` more.
+    ``moves`` caches each step's moves from a layout, in or out of a window.
+    """
+    # (result layout, window still open) -> (cost so far, previous key, move)
+    layer = {(lay, None): ((0, 0.0), None, None) for lay in permutations(legs[path[0]])}
+    history = []
+    for t, q in enumerate(path[1:]):
+        best: dict = {}
+        for (layout, open_), (cost, _, _) in layer.items():
+            if open_ is not None:
+                options = [(open_, layout, 0)]
+            else:
+                options = [(None, layout, 0)] if plain[t] else []
+                size = prod(ext[e] for e in layout)
+                for w in starts[t]:
+                    if w.axis in layout:
+                        read = 0 if layout[0] == w.axis else COPY * size
+                        front = (w.axis,) + tuple(e for e in layout if e != w.axis)
+                        options.append((w, front, read))
+            for w, lay, read in options:
+                blocks = w.blocks if w else 1
+                after = None if w is None or w.stop == t else w
+                if (lay, t, w) not in moves:
+                    e = {**ext, w.axis: ext[w.axis] // blocks} if w else ext
+                    moves[lay, t, w] = list(_moves(lay, legs[q], e, widest))
+                for labels, node_first, result, copied, work in moves[lay, t, w]:
+                    c = (cost[0] + copied * blocks,
+                         cost[1] + (work + call) * blocks + read)
+                    key = (result, after)
+                    if key not in best or c < best[key][0]:
+                        best[key] = (c, (layout, open_), (labels, node_first, w))
+        if not best:
+            return None
+        history.append(best)
+        layer = best
+    key = min(layer, key=lambda k: layer[k][0])
+    cost = layer[key][0]
+    chosen = []
+    for best in reversed(history):
+        _, key, move = best[key]
+        chosen.append(move)
+    return cost, key[0], chosen[::-1]
 
 
 def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
@@ -334,41 +422,105 @@ def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
     d_min being the smallest extent of the step's inner GEMM.  A copy ranks
     first because it also doubles the step's live set.  Ties go to the
     first move found.
+
+    Windows then lower the peak live set.  The program is the one with the
+    lowest ``peak_elements`` that copies no more than the unchunked one and
+    whose estimated time, now with ``CALL`` per ``contract_pair`` call and
+    ``COPY`` per element of a window input read by a copy, exceeds the
+    unchunked program's by at most ``WINDOW_SLACK`` of the multiplies in
+    its windows.  Each bound on the peak is tried by the same DP, allowing
+    only the windows that hold it with the fewest blocks; a binary search
+    over the candidate bounds finds the lowest that fits.
     """
     if sorted(path) != sorted(shape.nodes):
         raise ValueError("path is not a permutation of the network's qubits")
     ext = shape.edges
     legs = {q: tuple(sorted(shape.open_edges((q,)))) for q in path}
-    # the path alone fixes each intermediate's edges, so the multiplies and ranks
-    multiplies, widest = 0, 0
-    open_edges = frozenset(legs[path[0]])
-    for q in path[1:]:
-        multiplies += prod(ext[e] for e in open_edges.union(legs[q]))
-        open_edges = open_edges.symmetric_difference(legs[q])
-        widest = max(widest, _rank(open_edges, ext))
+    # the path alone fixes each accumulator's edges, so every size and rank
+    opens = list(accumulate((frozenset(legs[q]) for q in path), xor))
+    sizes = [prod(ext[e] for e in o) for o in opens]
+    nodes = [prod(ext[e] for e in legs[q]) for q in path[1:]]
+    elements = [sizes[t] + nodes[t] + sizes[t + 1] for t in range(len(nodes))]
+    mults = [
+        prod(ext[e] for e in opens[t].union(legs[q])) for t, q in enumerate(path[1:])
+    ]
+    widest = max((_rank(o, ext) for o in opens[1:]), default=0)
+    m = len(elements)
 
-    # result layout -> ((copied, work) so far, previous layout, step)
-    layer = {lay: ((0, 0.0), None, None) for lay in permutations(legs[path[0]])}
-    history = []
-    for q in path[1:]:
-        best: dict = {}
-        for layout, ((copied, work), _, _) in layer.items():
-            for step, result, more, extra in _moves(layout, q, legs[q], ext, widest):
-                cost = (copied + more, work + extra)
-                if result not in best or cost < best[result][0]:
-                    best[result] = (cost, layout, step)
-        history.append(best)
-        layer = best
-    layout = min(layer, key=lambda lay: layer[lay][0])
-    copied = layer[layout][0][0]
-    steps = []
-    for best in reversed(history):
-        _, layout, step = best[layout]
-        steps.append(step)
-    steps.reverse()
-    peak = max(_rank(legs[path[0]], ext), widest)
+    def peak_of(w: Window) -> int:
+        i, j, b = w.start, w.stop, w.blocks
+        held = sizes[i] + sizes[j + 1] + sum(nodes[i:j + 1])
+        return held + max((sizes[k] + sizes[k + 1]) // b for k in range(i, j + 1))
+
+    def slack(i: int, j: int) -> float:
+        return WINDOW_SLACK * sum(mults[i:j + 1])
+
+    moves: dict = {}
+    # every unchunked program makes the same calls, so their cost is left out
+    unchunked = _search(path, legs, ext, widest, [True] * m, [()] * m, moves)
+    (copied, work), _, _ = unchunked
+    # every window whose extra calls and input read fit its slack, by
+    # (start, stop, axis) with the fewest blocks first
+    spans: dict[tuple, list[Window]] = {}
+    for i in range(m):
+        for x in sorted(opens[i]):
+            for j in range(i, m):
+                if x in legs[path[j + 1]]:
+                    break
+                room = slack(i, j) - COPY * sizes[i]
+                spans[i, j, x] = [
+                    Window(i, j, x, b)
+                    for b in range(2, ext[x] // 2 + 1)
+                    if ext[x] % b == 0 and CALL * (b - 1) * (j - i + 1) <= room
+                ]
+
+    def within(bound: int):
+        """The least-time program whose peak is at most ``bound``, if it
+        copies no more than ``unchunked`` and its windows fit their slack."""
+        plain = [e <= bound for e in elements]
+        starts = [[] for _ in range(m)]
+        covered = set()
+        for (i, j, _), ws in spans.items():
+            if not all(plain[i:j + 1]):
+                fits = [w for w in ws if peak_of(w) <= bound][:1]
+                starts[i] += fits
+                covered.update(range(i, j + 1) if fits else ())
+        if any(not p and t not in covered for t, p in enumerate(plain)):
+            return None
+        found = _search(path, legs, ext, widest, plain, starts, moves, CALL)
+        if found is None or found[0][0] != copied:
+            return None
+        chosen = {w for *_, w in found[2] if w}
+        if found[0][1] > work + CALL * m + sum(slack(w.start, w.stop) for w in chosen):
+            return None
+        return found
+
+    found = unchunked
+    bounds = sorted({*elements, *(peak_of(w) for ws in spans.values() for w in ws)})
+    lo, hi = 0, bounds.index(max(elements)) if m else 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        chunked = within(bounds[mid])
+        if chunked:
+            found, hi = chunked, mid
+        else:
+            lo = mid + 1
+
+    _, first, picked = found
+    steps = tuple(
+        Step(q, labels, node_first, e)
+        for q, (labels, node_first, _), e in zip(path[1:], picked, elements)
+    )
+    chosen = tuple(dict.fromkeys(w for *_, w in picked if w))
+    inside = {t for w in chosen for t in range(w.start, w.stop + 1)}
+    peak_elements = max(
+        [e for t, e in enumerate(elements) if t not in inside]
+        + [peak_of(w) for w in chosen],
+        default=sizes[0],
+    )
     return ContractionProgram(
-        path[0], layout, tuple(steps), multiplies, peak, copied
+        path[0], first, steps, chosen, sum(mults),
+        max(_rank(opens[0], ext), widest), copied, peak_elements,
     )
 
 
@@ -378,18 +530,54 @@ def _ordered(t: Tensor, labels: tuple[Edge, ...]) -> Tensor:
     return Tensor(t.data.transpose([t.axis(lab) for lab in labels]), labels)
 
 
+def _absorb(acc: Tensor, node: Tensor, step: Step) -> Tensor:
+    pairs = [(acc.axis(lab), i) for i, lab in enumerate(step.labels)
+             if lab in acc.labels]
+    if step.node_first:
+        return contract_pair(node, acc, [(j, i) for i, j in pairs])
+    return contract_pair(acc, node, pairs)
+
+
+def _run_window(acc: Tensor, nodes: list[Tensor], steps, window: Window) -> Tensor:
+    """The window's steps run on each block of ``acc``'s window axis, moved
+    to the front: a view when it leads ``acc``, else a copy of the block.
+    Each block's result goes into its place in one output array."""
+    data = np.moveaxis(acc.data, acc.axis(window.axis), 0)
+    labels = (window.axis,) + tuple(e for e in acc.labels if e != window.axis)
+    size = len(data) // window.blocks
+    out = None
+    for start in range(0, len(data), size):
+        block = Tensor(data[start:start + size], labels)
+        for step, node in zip(steps, nodes):
+            block = _absorb(block, node, step)
+        axis = block.axis(window.axis)
+        if out is None:
+            dims = block.dims[:axis] + (len(data),) + block.dims[axis + 1:]
+            out = np.empty(dims, dtype=block.data.dtype)
+        out[(slice(None),) * axis + (slice(start, start + size),)] = block.data
+    return Tensor(out, block.labels)
+
+
 def contract_along_path(net: TensorNetwork, program: ContractionProgram) -> complex:
-    """Run ``program`` on ``net``, one slice: the scalar of one
-    ``contract_pair`` call per step."""
+    """Run ``program`` on ``net``, one slice, and return its scalar.
+
+    A step outside windows is one ``contract_pair`` call.  A window's steps
+    run once per block, so make one call per step per block, each on
+    block-sized intermediates; its nodes are put in order once.
+    """
     acc = _ordered(net.tensors[program.first], program.labels)
-    for step in program.steps:
-        node = _ordered(net.tensors[step.node], step.labels)
-        pairs = [(acc.axis(lab), i) for i, lab in enumerate(step.labels)
-                 if lab in acc.labels]
-        if step.node_first:
-            acc = contract_pair(node, acc, [(j, i) for i, j in pairs])
+    windows = {w.start: w for w in program.windows}
+    t = 0
+    while t < len(program.steps):
+        w = windows.get(t)
+        stop = w.stop if w else t
+        steps = program.steps[t:stop + 1]
+        nodes = [_ordered(net.tensors[s.node], s.labels) for s in steps]
+        if w:
+            acc = _run_window(acc, nodes, steps, w)
         else:
-            acc = contract_pair(acc, node, pairs)
+            acc = _absorb(acc, nodes[0], steps[0])
+        t = stop + 1
     return acc.scalar()
 
 

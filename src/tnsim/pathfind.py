@@ -146,7 +146,8 @@ def find_optimal_path(
 ) -> tuple[list[int], int]:
     """Best-first search for a cheap full contraction path.
 
-    Seeds every boundary node, pops the least-score partial path, finalizes
+    Seeds every boundary node within the rank cap (the first node is the
+    first intermediate), pops the least-score partial path, finalizes
     its qubit subset once, and pushes all admissible one-qubit extensions.
     The first full path popped is returned.  Ties break on (score, longer
     path first, lexicographic path) for deterministic runs.
@@ -157,7 +158,9 @@ def find_optimal_path(
 
     heap: list[tuple[int, int, tuple[int, ...], int]] = []
     for q in sorted(shape.boundary()):
-        heapq.heappush(heap, (0, -1, (q,), -1))
+        _, rank = _step(shape, frozenset(), q)
+        if max_rank is None or rank <= max_rank:
+            heapq.heappush(heap, (0, -1, (q,), -1))
     visited: set[frozenset[int]] = set()
     largest = 0
     pushed = len(heap)

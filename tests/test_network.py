@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice, permutations
 
 import numpy as np
@@ -127,6 +128,19 @@ class TestPlanCuts:
         plan = plan_cuts(net, target_max_rank=3)
         assert plan.cut_edges  # the cap is infeasible without cuts
         assert plan.slice_count == np.prod(plan.extents)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_cap_holds_for_the_first_node(self, cap):
+        # what `tnsim gen --lattice square --size 9 --depth 4` writes
+        circuit = generate_rqc(generate_lattice("square", 3, 3), 4, seed=0)
+        net = overlap_network(circuit, "000000000", "010101010")
+        try:
+            plan = plan_cuts(net, target_max_rank=cap)
+        except CutPlanError:
+            return
+        edges = {e: d for e, d in net.edges.items() if e not in plan.cut_edges}
+        shape = NetworkShape(tuple(sorted(net.tensors)), edges)
+        assert compile_program(shape, list(plan.path)).peak_rank <= cap
 
     def test_unknown_cut_edge_rejected(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
@@ -415,3 +429,72 @@ class TestContractionProgram:
         )
         assert total == pytest.approx(full_contract(net), abs=1e-12)
         assert program.multiplies == plan.score
+
+
+def unchunked_peak(program) -> int:
+    return max(step.elements for step in program.steps)
+
+
+class TestWindows:
+    """Programs that run a window of steps once per block of an axis the
+    window leaves untouched."""
+
+    def test_square_4x4_d11_halves_its_peak(self):
+        shape = lattice_overlap_shape("square", 4, 4, 11)
+        path = [0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 11, 14, 15]
+        program = compile_program(shape, path)
+        assert program.multiplies == 31241274368
+        assert program.copied == 0
+        assert program.windows
+        assert program.peak_elements <= (2**23 + 2**20 + 2**25) // 2
+
+    def test_sliced_square_4x4_d10_has_no_windows(self, monkeypatch):
+        circuit = generate_rqc(generate_lattice("square", 4, 4), 10, seed=1)
+        net = overlap_network(circuit, "0" * 16, "0" * 16)
+        plan = plan_cuts(net, explicit_edges=[(5, 6)])
+        shape = NetworkShape.from_network(slice_network(net, plan, 0))
+        program = compile_program(shape, list(plan.path))
+        assert program.windows == ()
+        assert program.peak_elements == unchunked_peak(program)
+        monkeypatch.setattr(network, "WINDOW_SLACK", 0)  # no window fits
+        assert compile_program(shape, list(plan.path)) == program
+
+    def test_forced_window_gives_the_unchunked_amplitude(self, monkeypatch):
+        circuit = generate_rqc(generate_lattice("square", 3, 3), 8, seed=1)
+        net = overlap_network(circuit, "0" * 9, "1" * 9)
+        shape = NetworkShape.from_network(net)
+        path, _ = find_optimal_path(shape)
+        unchunked = compile_program(shape, path)
+        # calls and input reads free: windows pay off on any step
+        monkeypatch.setattr(network, "CALL", 0)
+        monkeypatch.setattr(network, "COPY", 0)
+        chunked = compile_program(shape, path)
+        assert unchunked.windows == () and chunked.windows
+        assert chunked.peak_elements < unchunked.peak_elements
+        assert chunked.multiplies == unchunked.multiplies
+        calls = []
+        pair = network.contract_pair
+        monkeypatch.setattr(
+            network, "contract_pair", lambda *args: calls.append(args) or pair(*args)
+        )
+        value = contract_along_path(net, chunked)
+        assert len(calls) == len(chunked.steps) + sum(
+            (w.blocks - 1) * (w.stop - w.start + 1) for w in chunked.windows
+        )
+        assert value == pytest.approx(contract_along_path(net, unchunked), abs=1e-12)
+
+    def test_measured_peak_within_peak_elements(self):
+        circuit = generate_rqc(generate_lattice("square", 3, 3), 12, seed=1)
+        net = overlap_network(circuit, "0" * 9, "0" * 9)
+        shape = NetworkShape.from_network(net)
+        program = compile_program(shape, list(plan_cuts(net, explicit_edges=[]).path))
+        assert program.windows
+        tracemalloc.start()
+        try:
+            contract_along_path(net, program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        node = max(t.data.nbytes for t in net.tensors.values())
+        assert peak <= program.peak_elements * 16 + node
+        assert peak < unchunked_peak(program) * 16
