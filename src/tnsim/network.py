@@ -26,7 +26,7 @@ from .pathfind import (
     find_optimal_path,
     treewidth_bound,
 )
-from .tensor import Tensor, contract_pair, plan_gemm
+from .tensor import Gemm, Tensor, contract_pair, plan_gemm
 from .tns import TNSState, two_sided_evolve
 
 __all__ = [
@@ -240,11 +240,20 @@ def slice_network(
     return TensorNetwork(tensors)
 
 
-# A GEMM, or a batch of GEMMs, whose smallest inner extent is d runs at
-# about d / (d + THIN_GEMM) of the full rate.  Measured with OpenBLAS on 2
-# cores: batches of (S x 256)(256 x 256) GEMMs ran 1.35, 1.7 and 1.7 times
-# slower than one GEMM of the same multiplies at S = 64, 32 and 16.
-THIN_GEMM = 32
+# A batch of GEMMs costs its multiplies plus GEMM_ELEMENT multiplies per
+# element its GEMMs read and write: each GEMM reads its rows of the block
+# and writes its output, and reads the matrix operand again, unless the
+# matrix fits in L1_ELEMENTS (a 48 KiB L1 data cache), when the batch reads
+# it once.  Measured with OpenBLAS on 2 cores, against one GEMM of the same
+# multiplies: batches of (S x 256)(256 x 256) ran 1.35, 1.7 and 1.7 times
+# slower at S = 64, 32 and 16 (priced 1.17, 1.34 and 1.68); batches of
+# (S x 512)(512 x 2048) ran as fast at S = 256 as at S = 512 and 8% slower
+# at S = 128 (priced +2.2% and +6.7%).  On square 4x4 d11's path, windows
+# of 2/4, 4/4, 2/8, 4/8, 8/8 and 16/8 blocks ran 3.74, 3.73, 3.61, 3.66,
+# 3.63 and 4.00 s, where the price adds 0, 1.2, 0.5, 1.7, 4.1 and 8.9% to
+# the first.
+GEMM_ELEMENT = 12
+L1_ELEMENTS = 3072
 
 # One ``contract_pair`` call costs about as much time as CALL multiplies at
 # the full rate, on top of its own multiplies.  Measured with OpenBLAS on 2
@@ -319,6 +328,13 @@ def _rank(labels, ext: dict) -> int:
     return sum(1 for lab in labels if ext[lab] > 1)
 
 
+def _gemm_time(g: Gemm) -> int:
+    """Estimated time of the multiplication ``g`` plans, in multiplies."""
+    m, k, n = g.inner
+    reads = g.batches if k * n > L1_ELEMENTS else 1
+    return g.batches * m * (k * n + GEMM_ELEMENT * (k + n)) + GEMM_ELEMENT * reads * k * n
+
+
 def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: int):
     """Each way to absorb a node with edges ``legs`` into an accumulator
     whose axes are in the order ``layout``: (node axis order, node first,
@@ -337,7 +353,6 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
     acc = prod(dims_acc)
     k = prod(ext[lab] for lab in shared)
     n = prod(ext[lab] for lab in free)
-    multiplies = acc * n
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
     narrow = max(_rank(layout, ext), _rank(legs, ext)) <= widest
     for order in permutations(free):
@@ -348,13 +363,12 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
                 g = plan_gemm(dims_node, dims_acc, [(j, i) for i, j in pairs])
             else:
                 g = plan_gemm(dims_acc, dims_node, pairs)
-            if g is None:  # tensordot copies the accumulator into a matrix
-                copied, inner = acc, (acc // k, k, n)
+            if g is None:  # tensordot copies the accumulator into one matrix
+                copied, g = acc, Gemm(True, 1, k, acc // k, n, (), 0)
             else:
                 acc_is_matrix = g.block_is_a == node_first
                 copied = acc if acc_is_matrix and g.copies_matrix else 0
-                inner = g.inner
-            work = multiplies * (1 + THIN_GEMM / min(inner))
+            work = _gemm_time(g)
             result = order + rest if node_first else rest + order
             yield labels, node_first, result, copied, work
 
@@ -418,10 +432,9 @@ def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
     A DP over the accumulator's axis order, memoised on (step, layout),
     picks the first node's axis order and each step's node axis order and
     operand order.  It minimises the accumulator elements copied, then the
-    estimated time: the sum of ``multiplies * (1 + THIN_GEMM / d_min)``,
-    d_min being the smallest extent of the step's inner GEMM.  A copy ranks
-    first because it also doubles the step's live set.  Ties go to the
-    first move found.
+    estimated time: each step's multiplies plus ``GEMM_ELEMENT`` per
+    element its GEMMs read and write.  A copy ranks first because it also
+    doubles the step's live set.  Ties go to the first move found.
 
     Windows then lower the peak live set.  The program is the one with the
     lowest ``peak_elements`` that copies no more than the unchunked one and

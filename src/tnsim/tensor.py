@@ -10,6 +10,7 @@ All operations are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import Hashable, NamedTuple, Sequence
 
@@ -123,6 +124,11 @@ class Gemm(NamedTuple):
         return identity not in (self.matrix_axes, rotated)
 
     @property
+    def batches(self) -> int:
+        """The GEMMs ``_matmul`` runs: P when both P and S exceed 1, else 1."""
+        return self.p if self.s > 1 else 1
+
+    @property
     def inner(self) -> tuple[int, int, int]:
         """(M, K, N) of the one GEMM, or of each GEMM of the batch over P:
         M is S, or P when S is 1."""
@@ -164,6 +170,11 @@ def plan_gemm(
     when the larger operand (``a`` on a tie) has its paired axes in more
     than one run.  The larger operand is the block, unless that copies the
     smaller one and the smaller one as the block copies nothing."""
+    return _plan_gemm(tuple(dims_a), tuple(dims_b), tuple(map(tuple, pairs)))
+
+
+@lru_cache(maxsize=4096)
+def _plan_gemm(dims_a, dims_b, pairs) -> Gemm | None:
     swapped = [(ib, ia) for ia, ib in pairs]
     with_a = _as_block(dims_a, dims_b, pairs, True)
     with_b = _as_block(dims_b, dims_a, swapped, False)

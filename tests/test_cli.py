@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -373,6 +376,19 @@ class TestVerify:
     def test_process_pool_matches_serial(self, capsys, circuit_file):
         argv = ["verify", "-c", circuit_file, "--samples", "2", "--oracle"]
         assert run(capsys, argv + ["--workers", "2"]) == run(capsys, argv)
+
+    def test_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(tnsim.cli.__file__))
+        code = (
+            "import sys, tnsim.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_oracle_cap_checked_before_any_amplitude(
         self, capsys, tmp_path, monkeypatch

@@ -28,7 +28,7 @@ from tnsim.network import (
 )
 from tnsim.oracle import amplitude_oracle
 from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
-from tnsim.tensor import Tensor
+from tnsim.tensor import Gemm, Tensor
 from tnsim.tns import init_state, two_sided_evolve
 
 from conftest import random_bits
@@ -498,3 +498,92 @@ class TestWindows:
         node = max(t.data.nbytes for t in net.tensors.values())
         assert peak <= program.peak_elements * 16 + node
         assert peak < unchunked_peak(program) * 16
+
+
+def layouts(program) -> list:
+    return [(step.node, step.labels, step.node_first) for step in program.steps]
+
+
+class TestFinerWindows:
+    """Programs under the measured GEMM price, pinned against the layouts
+    compiled before it: windows get finer, layouts do not move."""
+
+    def test_square_4x4_d11_keeps_its_layouts_under_8m_elements(self):
+        shape = lattice_overlap_shape("square", 4, 4, 11)
+        path = [0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 11, 14, 15]
+        program = compile_program(shape, path)
+        assert program.multiplies == 31241274368
+        assert program.copied == 0
+        assert program.peak_elements <= 8_000_000
+        assert (program.first, program.labels) == (0, ((0, 1), (0, 4)))
+        assert layouts(program) == [
+            (4, ((0, 4), (4, 8), (4, 5)), True),
+            (1, ((0, 1), (1, 5), (1, 2)), False),
+            (5, ((4, 5), (1, 5), (5, 6), (5, 9)), True),
+            (2, ((1, 2), (2, 3), (2, 6)), True),
+            (6, ((2, 6), (5, 6), (6, 10), (6, 7)), False),
+            (3, ((2, 3), (3, 7)), False),
+            (7, ((6, 7), (3, 7), (7, 11)), True),
+            (8, ((4, 8), (8, 9), (8, 12)), False),
+            (12, ((8, 12), (12, 13)), True),
+            (9, ((5, 9), (8, 9), (9, 10), (9, 13)), True),
+            (13, ((9, 13), (12, 13), (13, 14)), False),
+            (10, ((9, 10), (6, 10), (10, 14), (10, 11)), True),
+            (11, ((10, 11), (7, 11), (11, 15)), False),
+            (14, ((10, 14), (13, 14), (14, 15)), False),
+            (15, ((11, 15), (14, 15)), False),
+        ]
+
+    def test_sliced_square_4x4_d10_program_unchanged(self):
+        circuit = generate_rqc(generate_lattice("square", 4, 4), 10, seed=1)
+        net = overlap_network(circuit, "0" * 16, "0" * 16)
+        plan = plan_cuts(net, explicit_edges=[(5, 6)])
+        shape = NetworkShape.from_network(slice_network(net, plan, 0))
+        program = compile_program(shape, list(plan.path))
+        assert (program.first, program.labels) == (0, ((0, 1), (0, 4)))
+        assert program.windows == ()
+        assert (program.copied, program.peak_elements) == (0, 786944)
+        assert layouts(program) == [
+            (4, ((0, 4), (4, 8), (4, 5)), False),
+            (1, ((0, 1), (1, 5), (1, 2)), False),
+            (5, ((4, 5), (1, 5), (5, 9)), False),
+            (8, ((4, 8), (8, 9), (8, 12)), False),
+            (12, ((8, 12), (12, 13)), True),
+            (9, ((5, 9), (8, 9), (9, 10), (9, 13)), True),
+            (13, ((9, 13), (12, 13), (13, 14)), False),
+            (14, ((13, 14), (14, 15), (10, 14)), True),
+            (10, ((10, 14), (9, 10), (10, 11), (6, 10)), True),
+            (15, ((14, 15), (11, 15)), True),
+            (11, ((11, 15), (10, 11), (7, 11)), True),
+            (2, ((1, 2), (2, 6), (2, 3)), False),
+            (6, ((6, 10), (2, 6), (6, 7)), True),
+            (7, ((6, 7), (7, 11), (3, 7)), False),
+            (3, ((2, 3), (3, 7)), False),
+        ]
+
+
+def batch_time(rows: int, s: int, k: int, n: int) -> int:
+    """Estimated time of rows / s GEMMs of (s x k)(k x n), or of one GEMM
+    when s == rows."""
+    return network._gemm_time(Gemm(True, rows // s, k, s, n, (0, 1), 1))
+
+
+class TestGemmPrice:
+    """The price keeps the order of the measured batched-GEMM times."""
+
+    def test_halving_wide_batches_is_nearly_free(self):
+        # 32 x (512 x 512)(512 x 2048) against 64 x (256 x 512)(512 x 2048)
+        s512 = batch_time(16384, 512, 512, 2048)
+        s256 = batch_time(16384, 256, 512, 2048)
+        s128 = batch_time(16384, 128, 512, 2048)
+        assert s512 < s256 <= 1.03 * s512
+        assert s256 < s128
+
+    def test_thin_batches_cost_more(self):
+        one = batch_time(8192, 8192, 256, 256)
+        times = [batch_time(8192, s, 256, 256) for s in (64, 32, 16)]
+        assert one < times[0] < times[1] < times[2]
+
+    def test_batch_reads_a_cached_matrix_once(self):
+        # 256 x (32 x 16)(16 x 32) moves the elements of one (8192 x 16)(16 x 32)
+        assert batch_time(8192, 32, 16, 32) == batch_time(8192, 8192, 16, 32)
