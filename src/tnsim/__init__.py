@@ -14,11 +14,14 @@ from .circuit import (
 )
 from .network import (
     CutPlan,
+    StateOverlap,
     TensorNetwork,
     build_overlap_network,
     compile_program,
     compute_amplitude,
     contract_along_path,
+    overlap_shape,
+    overlap_states,
     plan_cuts,
     slice_network,
 )

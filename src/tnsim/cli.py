@@ -27,9 +27,9 @@ from .circuit import (
     parse_circuit,
     serialize_circuit,
 )
-from .network import CutPlanError, compute_amplitude, overlap_network
+from .network import CutPlanError, compute_amplitude, overlap_shape, overlap_states
 from .oracle import amplitude_oracle
-from .pathfind import NetworkShape, PathSearchError, find_optimal_path
+from .pathfind import PathSearchError, find_optimal_path
 from .workload import (
     SYCAMORE_E1,
     SYCAMORE_E2,
@@ -170,8 +170,8 @@ def _cmd_verify(args) -> int:
 def _cmd_path(args) -> int:
     circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
-    net = overlap_network(circuit, "0" * n, "0" * n, args.split_cycle)
-    path, score = find_optimal_path(NetworkShape.from_network(net), args.max_rank)
+    phi, psi = overlap_states(circuit, "0" * n, "0" * n, args.split_cycle)
+    path, score = find_optimal_path(overlap_shape(phi, psi), args.max_rank)
     _emit({"path": path, "score": str(score)})
     return 0
 

@@ -187,7 +187,7 @@ def test_criterion_05_slice_sum_identity(report):
         order, _ = find_optimal_path(shape)
         whole = contract_along_path(net, compile_program(shape, order))
         edges = rnd.sample(sorted(net.edges), rnd.randint(1, 3))
-        plan = plan_cuts(net, explicit_edges=edges)
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=edges)
         program = compile_program(
             NetworkShape.from_network(slice_network(net, plan, 0)), order
         )

@@ -11,9 +11,11 @@ import sys
 import pytest
 
 import tnsim.cli
+import tnsim.network
 from tnsim.circuit import Circuit, CircuitGraph, Gate, cz_matrix, parse_circuit
 from tnsim.cli import main
 from tnsim.oracle import amplitude_oracle
+from tnsim.pathfind import NetworkShape, find_optimal_path
 from tnsim.workload import ErrorModel, WorkloadError, estimate_workload
 
 
@@ -418,6 +420,24 @@ class TestPath:
         rec = json.loads(out)
         assert sorted(rec["path"]) == list(range(4))
         assert int(rec["score"]) > 0
+
+    def test_plans_on_the_shape_without_building_a_node(
+        self, capsys, circuit_file, monkeypatch
+    ):
+        with open(circuit_file, "rb") as fh:
+            circuit = parse_circuit(fh.read())
+        phi, psi = tnsim.network.overlap_states(circuit, "0000", "0000")
+        net = tnsim.network.build_overlap_network(phi, psi)
+        path, score = find_optimal_path(NetworkShape.from_network(net))
+        expected = json.dumps({"path": path, "score": str(score)}, sort_keys=True)
+
+        def no_nodes(*args):
+            raise AssertionError("path built a node tensor")
+
+        monkeypatch.setattr(tnsim.network, "build_overlap_network", no_nodes)
+        monkeypatch.setattr(tnsim.network.StateOverlap, "node", no_nodes)
+        rc, out, err = run(capsys, ["path", "-c", circuit_file])
+        assert (rc, out, err) == (0, expected + "\n", "")
 
     def test_infeasible_cap_fails_cleanly(self, capsys, circuit_file):
         rc, _, err = run(capsys, ["path", "-c", circuit_file, "--max-rank", "0"])

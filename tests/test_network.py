@@ -22,7 +22,8 @@ from tnsim.network import (
     compile_program,
     compute_amplitude,
     contract_along_path,
-    overlap_network,
+    overlap_shape,
+    overlap_states,
     plan_cuts,
     slice_network,
 )
@@ -108,14 +109,15 @@ class TestPlanCuts:
     def test_explicit_edges_returned_verbatim(self):
         graph = generate_lattice("square", 2, 3)
         net = overlap_net(generate_rqc(graph, 4, seed=4), "000000", "111111")
-        plan = plan_cuts(net, explicit_edges=[(1, 4), (0, 1)])
+        shape = NetworkShape.from_network(net)
+        plan = plan_cuts(shape, explicit_edges=[(1, 4), (0, 1)])
         assert plan.cut_edges == ((1, 4), (0, 1))
         assert plan.extents == (net.edges[(1, 4)], net.edges[(0, 1)])
 
     def test_no_cuts_when_cap_is_generous(self):
         graph = generate_lattice("square", 2, 2)
         net = overlap_net(generate_rqc(graph, 3, seed=1), "0000", "0000")
-        plan = plan_cuts(net, target_max_rank=10)
+        plan = plan_cuts(NetworkShape.from_network(net), target_max_rank=10)
         assert plan.cut_edges == ()
         assert plan.slice_count == 1
         # the plan carries the path of the search that validated it
@@ -125,7 +127,7 @@ class TestPlanCuts:
     def test_auto_cuts_unlock_a_tight_cap(self):
         graph = generate_lattice("square", 3, 4)
         net = overlap_net(generate_rqc(graph, 6, seed=6), "0" * 12, "1" * 12)
-        plan = plan_cuts(net, target_max_rank=3)
+        plan = plan_cuts(NetworkShape.from_network(net), target_max_rank=3)
         assert plan.cut_edges  # the cap is infeasible without cuts
         assert plan.slice_count == np.prod(plan.extents)
 
@@ -133,9 +135,9 @@ class TestPlanCuts:
     def test_cap_holds_for_the_first_node(self, cap):
         # what `tnsim gen --lattice square --size 9 --depth 4` writes
         circuit = generate_rqc(generate_lattice("square", 3, 3), 4, seed=0)
-        net = overlap_network(circuit, "000000000", "010101010")
+        net = overlap_net(circuit, "000000000", "010101010")
         try:
-            plan = plan_cuts(net, target_max_rank=cap)
+            plan = plan_cuts(NetworkShape.from_network(net), target_max_rank=cap)
         except CutPlanError:
             return
         edges = {e: d for e, d in net.edges.items() if e not in plan.cut_edges}
@@ -146,19 +148,20 @@ class TestPlanCuts:
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         net = build_overlap_network(init_state(graph, "00"), init_state(graph, "00"))
         with pytest.raises(ValueError, match="not in network"):
-            plan_cuts(net, explicit_edges=[(0, 5)])
+            plan_cuts(NetworkShape.from_network(net), explicit_edges=[(0, 5)])
 
     def test_duplicate_cut_edges_rejected(self):
         graph = CircuitGraph(2, frozenset({(0, 1)}))
         net = build_overlap_network(init_state(graph, "00"), init_state(graph, "00"))
+        shape = NetworkShape.from_network(net)
         with pytest.raises(ValueError, match="duplicate"):
-            plan_cuts(net, explicit_edges=[(0, 1), (1, 0)])
+            plan_cuts(shape, explicit_edges=[(0, 1), (1, 0)])
 
     def test_impossible_cap_raises_with_best_plan(self):
         graph = generate_lattice("square", 2, 3)
         net = overlap_net(generate_rqc(graph, 4, seed=4), "000000", "111111")
         with pytest.raises(CutPlanError, match="unachievable"):
-            plan_cuts(net, target_max_rank=-1)
+            plan_cuts(NetworkShape.from_network(net), target_max_rank=-1)
 
 
 class TestSliceNetwork:
@@ -169,7 +172,8 @@ class TestSliceNetwork:
     def test_slices_sum_to_uncut_value(self):
         net = self.make()
         whole = full_contract(net)
-        plan = plan_cuts(net, explicit_edges=[(1, 2), (3, 4)])
+        shape = NetworkShape.from_network(net)
+        plan = plan_cuts(shape, explicit_edges=[(1, 2), (3, 4)])
         total = sum(
             full_contract(slice_network(net, plan, s))
             for s in range(plan.slice_count)
@@ -178,7 +182,7 @@ class TestSliceNetwork:
 
     def test_cut_axes_removed(self):
         net = self.make()
-        plan = plan_cuts(net, explicit_edges=[(0, 1)])
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=[(0, 1)])
         sliced = slice_network(net, plan, 0)
         assert (0, 1) not in sliced.edges
         assert (0, 1) not in sliced.tensors[0].labels
@@ -186,7 +190,7 @@ class TestSliceNetwork:
     def test_mixed_radix_decoding(self):
         net = self.make()
         edges = [(0, 1), (1, 2)]
-        plan = plan_cuts(net, explicit_edges=edges)
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=edges)
         e0, e1 = plan.extents
         # first cut edge is most significant
         s0 = slice_network(net, plan, 1 * e1 + 2)
@@ -199,9 +203,30 @@ class TestSliceNetwork:
 
     def test_slice_index_out_of_range(self):
         net = self.make()
-        plan = plan_cuts(net, explicit_edges=[(0, 1)])
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=[(0, 1)])
         with pytest.raises(ValueError, match="out of range"):
             slice_network(net, plan, plan.slice_count)
+
+    def test_cut_nodes_are_views_of_the_built_network(self):
+        graph = generate_lattice("square", 3, 3)
+        c = generate_rqc(graph, 5, seed=6)
+        phi, psi = overlap_states(c, "0" * 9, "010101010")
+        shape = overlap_shape(phi, psi)
+        plan = plan_cuts(shape, explicit_edges=[(1, 4), (3, 4), (4, 5)])
+        edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
+        program = compile_program(NetworkShape(shape.nodes, edges), list(plan.path))
+        net = build_overlap_network(phi, psi, program, plan.cut_edges)
+        reads = {program.first: program.labels}
+        reads.update((step.node, step.labels) for step in program.steps)
+        cut_nodes = {q for e in plan.cut_edges for q in e}
+        assert cut_nodes == {1, 3, 4, 5}
+        for s in range(plan.slice_count):
+            sliced = slice_network(net, plan, s)
+            for q in cut_nodes:
+                node = sliced.tensors[q]
+                assert np.shares_memory(node.data, net.tensors[q].data)
+                # already in the order the program reads: no reorder either
+                assert sliced.node(q, reads[q]) is node
 
 
 class TestContractAlongPath:
@@ -276,6 +301,33 @@ class TestComputeAmplitude:
             assert stats.slice_count == 1
         assert budgets == [PLANNER_STATE_BUDGET if cuts == "auto" else None]
 
+    def test_cuts_of_extent_one_give_one_slice(self):
+        # a cz on |11> leaves product states: every bond has extent 1
+        c = Circuit(generate_lattice("square", 2, 2), ((Gate((0, 1), cz_matrix()),),))
+        for cuts in ([(0, 2)], [(0, 2), (0, 1)]):
+            stats = compute_amplitude(c, "1100", "1100", cuts=cuts)
+            assert stats.slice_count == 1
+            assert stats.amplitude == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("rows, cols, depth", [(3, 3, 12), (3, 4, 10)])
+    def test_one_slice_peak_within_the_program(self, rows, cols, depth):
+        # nodes are built as their steps read them, so no node tensor sits
+        # outside the program's live set
+        n = rows * cols
+        c = generate_rqc(generate_lattice("square", rows, cols), depth, seed=1)
+        shape = overlap_shape(*overlap_states(c, "0" * n, "0" * n))
+        plan = plan_cuts(shape)
+        assert plan.slice_count == 1
+        program = compile_program(shape, list(plan.path))
+        tracemalloc.start()
+        try:
+            stats = compute_amplitude(c, "0" * n, "0" * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.multiplies == program.multiplies
+        assert peak <= program.peak_elements * 16 + 2**20
+
     def test_rank_cap_respected_with_cuts(self):
         graph = generate_lattice("square", 3, 3)
         c = generate_rqc(graph, 5, seed=6)
@@ -289,7 +341,7 @@ class TestComputeAmplitude:
 def lattice_overlap_shape(kind: str, rows: int, cols: int, depth: int) -> NetworkShape:
     n = rows * cols
     circuit = generate_rqc(generate_lattice(kind, rows, cols), depth, seed=1)
-    return NetworkShape.from_network(overlap_network(circuit, "0" * n, "0" * n))
+    return NetworkShape.from_network(overlap_net(circuit, "0" * n, "0" * n))
 
 
 class TestSearchOnOverlapNetworks:
@@ -421,7 +473,8 @@ class TestContractionProgram:
 
     def test_cut_edges_left_out_of_the_program(self, rng):
         net = random_grid_network(rng, 3, 3)
-        plan = plan_cuts(net, explicit_edges=[(0, 1), (4, 5)])
+        shape = NetworkShape.from_network(net)
+        plan = plan_cuts(shape, explicit_edges=[(0, 1), (4, 5)])
         program = program_for(slice_network(net, plan, 0), list(plan.path))
         total = sum(
             contract_along_path(slice_network(net, plan, s), program)
@@ -450,8 +503,8 @@ class TestWindows:
 
     def test_sliced_square_4x4_d10_has_no_windows(self, monkeypatch):
         circuit = generate_rqc(generate_lattice("square", 4, 4), 10, seed=1)
-        net = overlap_network(circuit, "0" * 16, "0" * 16)
-        plan = plan_cuts(net, explicit_edges=[(5, 6)])
+        net = overlap_net(circuit, "0" * 16, "0" * 16)
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=[(5, 6)])
         shape = NetworkShape.from_network(slice_network(net, plan, 0))
         program = compile_program(shape, list(plan.path))
         assert program.windows == ()
@@ -461,7 +514,7 @@ class TestWindows:
 
     def test_forced_window_gives_the_unchunked_amplitude(self, monkeypatch):
         circuit = generate_rqc(generate_lattice("square", 3, 3), 8, seed=1)
-        net = overlap_network(circuit, "0" * 9, "1" * 9)
+        net = overlap_net(circuit, "0" * 9, "1" * 9)
         shape = NetworkShape.from_network(net)
         path, _ = find_optimal_path(shape)
         unchunked = compile_program(shape, path)
@@ -485,9 +538,9 @@ class TestWindows:
 
     def test_measured_peak_within_peak_elements(self):
         circuit = generate_rqc(generate_lattice("square", 3, 3), 12, seed=1)
-        net = overlap_network(circuit, "0" * 9, "0" * 9)
+        net = overlap_net(circuit, "0" * 9, "0" * 9)
         shape = NetworkShape.from_network(net)
-        program = compile_program(shape, list(plan_cuts(net, explicit_edges=[]).path))
+        program = compile_program(shape, list(plan_cuts(shape, explicit_edges=[]).path))
         assert program.windows
         tracemalloc.start()
         try:
@@ -536,8 +589,8 @@ class TestFinerWindows:
 
     def test_sliced_square_4x4_d10_program_unchanged(self):
         circuit = generate_rqc(generate_lattice("square", 4, 4), 10, seed=1)
-        net = overlap_network(circuit, "0" * 16, "0" * 16)
-        plan = plan_cuts(net, explicit_edges=[(5, 6)])
+        net = overlap_net(circuit, "0" * 16, "0" * 16)
+        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=[(5, 6)])
         shape = NetworkShape.from_network(slice_network(net, plan, 0))
         program = compile_program(shape, list(plan.path))
         assert (program.first, program.labels) == (0, ((0, 1), (0, 4)))
