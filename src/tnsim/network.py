@@ -7,10 +7,19 @@ product extent.  Its shape follows from the two states' bond extents alone,
 so cuts, path and program are fixed before any node is built.  Cuts fix
 selected edges to each of their values, splitting the network into
 independent slice networks whose scalars sum to the uncut contraction.
+
+A qubit whose merged step is costly may instead enter the program as its two
+layer nodes, phi_q and psi_q*, joined by their physical edge.  Node ``~q``
+is psi_q*; every edge at a layered qubit splits into its phi bond, labelled
+by the graph edge, and its psi bond, labelled by the graph edge with each
+layered endpoint ``k`` replaced by ``~k``.
 """
 
 from __future__ import annotations
 
+import gc
+import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
@@ -28,7 +37,7 @@ from .pathfind import (
     treewidth_bound,
 )
 from .tensor import Gemm, Tensor, contract_pair, plan_gemm
-from .tns import TNSState, two_sided_evolve
+from .tns import PHYS, TNSState, two_sided_evolve
 
 __all__ = [
     "TensorNetwork",
@@ -114,32 +123,57 @@ def overlap_shape(phi: TNSState, psi: TNSState) -> NetworkShape:
     return NetworkShape(tuple(range(graph.num_qubits)), edges)
 
 
+def _state_label(lab: Edge):
+    """The label in phi's and psi's tensors of the network label ``lab``:
+    its graph edge, or ``PHYS`` for a layered qubit's physical edge."""
+    k, l = (~v if v < 0 else v for v in lab)
+    return PHYS if k == l else (k, l)
+
+
 @dataclass(frozen=True)
 class StateOverlap:
     """The overlap network of ``phi`` and ``psi`` with no node built:
     ``node`` builds one when it is read and keeps nothing.
 
     psi is a ket; its tensors enter conjugated, so contracting the network
-    yields <psi|phi>.  Parallel bonds merge into one edge of product extent
-    (phi index major, psi index minor on both endpoints).
+    yields <psi|phi>.  The qubits in ``layered`` are two nodes, phi_q (node
+    q) and psi_q* (node ~q).  Every other qubit is one merged node, whose
+    parallel bonds merge into one edge of product extent (phi index major,
+    psi index minor on both endpoints) unless the edge splits at a layered
+    neighbour.
     """
 
     phi: TNSState
     psi: TNSState
+    layered: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         _common_graph(self.phi, self.psi)
 
     def node(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
-        """phi_q . psi_q* over the physical axis, its merged bonds in the
-        order ``labels``: one product, then one copy into that order."""
+        """Node ``q`` with its axes in the order ``labels``.  A merged node
+        is phi_q . psi_q* over the physical axis: one product, then one copy
+        into that order."""
+        if q < 0 or q in self.layered:
+            t = self.psi.tensors[~q] if q < 0 else self.phi.tensors[q]
+            data = t.data.transpose([t.axis(_state_label(lab)) for lab in labels])
+            return Tensor(data.conj() if q < 0 else data, labels)
         a, b = self.phi.tensors[q], self.psi.tensors[q]
         t = np.tensordot(a.data, b.data.conj(), axes=([0], [0]))
         # axes: phi's bonds then psi's, each in its tensor's order
         deg = a.rank - 1
-        axes = [(a.axis(lab), b.axis(lab)) for lab in labels]
-        t = t.transpose([i for ia, ib in axes for i in (ia - 1, deg + ib - 1)])
-        return Tensor(t.reshape([a.dims[ia] * b.dims[ib] for ia, ib in axes]), labels)
+        axes: list[int] = []
+        dims: list[int] = []
+        for lab in labels:
+            e = _state_label(lab)
+            ia, ib = a.axis(e) - 1, deg + b.axis(e) - 1
+            if self.layered.isdisjoint(e):
+                axes += [ia, ib]
+                dims.append(t.shape[ia] * t.shape[ib])
+            else:  # a split bond: psi's when a layered endpoint is negated
+                axes.append(ib if min(lab) < 0 else ia)
+                dims.append(t.shape[axes[-1]])
+        return Tensor(t.transpose(axes).reshape(dims), labels)
 
 
 def build_overlap_network(
@@ -156,7 +190,7 @@ def build_overlap_network(
     order the program reads them, so a slice's cut nodes are views and no
     slice reorders a node.
     """
-    overlap = StateOverlap(phi, psi)
+    overlap = StateOverlap(phi, psi, program.layered if program else frozenset())
     graph = phi.graph
     # built in qubit order, not program order: on square 4x4 d10 cut on
     # (5, 6), the process's peak RSS read 61.8 MB this way and 62.4 MB in
@@ -334,6 +368,15 @@ COPY = 128
 # multiplies of its steps.
 WINDOW_SLACK = 0.02
 
+# A compile held to a peak bound keeps, for each open window, the BEAM
+# least-time DP states after each step: split bonds make the full DP slow.
+# On square 4x4 d11 with qubits 6, 9 and 10 layered, the full DP took
+# 0.23 s; 32 states per window took 0.05 s and found a program that copies
+# 69.2M elements, peaks at 6.23M and contracts in 1.32 s; 64 states took
+# 0.09 s and found one the estimate puts 10% faster (52.4M copied, peak
+# 7.70M) that contracts in 1.33 s with 26 MB more peak RSS.
+BEAM = 32
+
 
 @dataclass(frozen=True)
 class Step:
@@ -371,9 +414,10 @@ class ContractionProgram:
     ``copied`` counts the accumulator elements that steps copy into a new
     axis order; 0 when every step multiplies the accumulator in place.
     ``peak_elements`` is the program's largest live set: a step's
-    ``elements`` outside windows; inside a window, its whole input and
-    output and all its nodes, plus one block of the step's accumulator and
-    one of its result.
+    ``elements`` and the accumulator it copies, outside windows; inside a
+    window, its whole input and output and all its nodes, plus one block of
+    the step's accumulator, one of its result and the block it copies.
+    ``time`` is the compiler's estimate of the run time, in multiplies.
     """
 
     first: int
@@ -384,6 +428,14 @@ class ContractionProgram:
     peak_rank: int
     copied: int
     peak_elements: int
+    time: int
+
+    @property
+    def layered(self) -> frozenset[int]:
+        """The qubits absorbed as two layer nodes: those whose psi_q*, node
+        ~q, the program reads."""
+        nodes = (self.first, *(step.node for step in self.steps))
+        return frozenset(~q for q in nodes if q < 0)
 
 
 def _rank(labels, ext: dict) -> int:
@@ -417,40 +469,51 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
     n = prod(ext[lab] for lab in free)
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
     narrow = max(_rank(layout, ext), _rank(legs, ext)) <= widest
+    # the node's paired axes lead it in the accumulator's order, so the
+    # plan does not depend on the order of its free axes
+    dims_node = [ext[lab] for lab in shared + free]
+    plans = []
+    for node_first in (False, True) if narrow else (False,):
+        if node_first:
+            g = plan_gemm(dims_node, dims_acc, [(j, i) for i, j in pairs])
+        else:
+            g = plan_gemm(dims_acc, dims_node, pairs)
+        if g is None:  # tensordot copies the accumulator into one matrix
+            copied, g = acc, Gemm(True, 1, k, acc // k, n, (), 0)
+        else:
+            acc_is_matrix = g.block_is_a == node_first
+            copied = acc if acc_is_matrix and g.copies_matrix else 0
+        plans.append((node_first, copied, _gemm_time(g)))
     for order in permutations(free):
-        labels = shared + order
-        dims_node = [ext[lab] for lab in labels]
-        for node_first in (False, True) if narrow else (False,):
-            if node_first:
-                g = plan_gemm(dims_node, dims_acc, [(j, i) for i, j in pairs])
-            else:
-                g = plan_gemm(dims_acc, dims_node, pairs)
-            if g is None:  # tensordot copies the accumulator into one matrix
-                copied, g = acc, Gemm(True, 1, k, acc // k, n, (), 0)
-            else:
-                acc_is_matrix = g.block_is_a == node_first
-                copied = acc if acc_is_matrix and g.copies_matrix else 0
-            work = _gemm_time(g)
+        for node_first, copied, work in plans:
             result = order + rest if node_first else rest + order
-            yield labels, node_first, result, copied, work
+            yield shared + order, node_first, result, copied, work
 
 
-def _search(path, legs, ext, widest, plain, starts, moves, call=0.0):
-    """The least (copied, estimated time) first axis order and moves, one
-    (node axis order, node first, window or None) per step, or None.
+def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
+    """The least-cost first axis order and moves, one (node axis order,
+    node first, window or None, copied elements) per step, or None.
 
     Step ``t`` runs unchunked only where ``plain[t]``; it may also open a
     window of ``starts[t]``, which reads its blocks with the window's axis
     moved to the front (``COPY`` per element unless it leads already), or
-    run in the window open before it.  A DP over (accumulator axis order,
-    open window), memoised per step; each call costs ``call`` more.
-    ``moves`` caches each step's moves from a layout, in or out of a window.
+    run in the window open before it.  A move may copy at most
+    ``room(t, window)`` accumulator elements.  Its time is its GEMMs',
+    ``CALL`` and ``COPY`` per element it copies, once per block.  A DP over
+    (accumulator axis order, open window), memoised per step.
+
+    The cost is (copied elements, time), and ``moves`` caches each step's
+    moves from a layout, in or out of a window, across calls.  When
+    ``bounded``, the cost is (0, time), a step's moves are kept for that
+    step only, and only the ``BEAM`` least-cost states per open window
+    survive each step.
     """
     # (result layout, window still open) -> (cost so far, previous key, move)
-    layer = {(lay, None): ((0, 0.0), None, None) for lay in permutations(legs[path[0]])}
+    layer = {(lay, None): ((0, 0), None, None) for lay in permutations(legs[path[0]])}
     history = []
     for t, q in enumerate(path[1:]):
         best: dict = {}
+        cache = {} if bounded else moves
         for (layout, open_), (cost, _, _) in layer.items():
             if open_ is not None:
                 options = [(open_, layout, 0)]
@@ -465,17 +528,28 @@ def _search(path, legs, ext, widest, plain, starts, moves, call=0.0):
             for w, lay, read in options:
                 blocks = w.blocks if w else 1
                 after = None if w is None or w.stop == t else w
-                if (lay, t, w) not in moves:
+                most = room(t, w)
+                chunk = (lay, t, w and (w.axis, blocks))
+                if chunk not in cache:
                     e = {**ext, w.axis: ext[w.axis] // blocks} if w else ext
-                    moves[lay, t, w] = list(_moves(lay, legs[q], e, widest))
-                for labels, node_first, result, copied, work in moves[lay, t, w]:
-                    c = (cost[0] + copied * blocks,
-                         cost[1] + (work + call) * blocks + read)
+                    cache[chunk] = list(_moves(lay, legs[q], e, widest))
+                for labels, node_first, result, copied, work in cache[chunk]:
+                    if copied > most:
+                        continue
+                    c = (0 if bounded else cost[0] + copied * blocks,
+                         cost[1] + (work + CALL + COPY * copied) * blocks + read)
                     key = (result, after)
                     if key not in best or c < best[key][0]:
-                        best[key] = (c, (layout, open_), (labels, node_first, w))
+                        best[key] = (c, (layout, open_), (labels, node_first, w, copied))
         if not best:
             return None
+        if bounded:
+            groups: dict = {}
+            for key, entry in best.items():
+                groups.setdefault(key[1], []).append((key, entry))
+            best = dict(chain.from_iterable(
+                heapq.nsmallest(BEAM, g, key=lambda kv: kv[1][0]) for g in groups.values()
+            ))
         history.append(best)
         layer = best
     key = min(layer, key=lambda k: layer[k][0])
@@ -487,25 +561,34 @@ def _search(path, legs, ext, widest, plain, starts, moves, call=0.0):
     return cost, key[0], chosen[::-1]
 
 
-def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
+def compile_program(
+    shape: NetworkShape, path: list[int], peak_bound: int | None = None
+) -> ContractionProgram | None:
     """Compile ``path`` into the program that contracts networks of
     ``shape``, a slice's shape when edges are cut.
 
     A DP over the accumulator's axis order, memoised on (step, layout),
     picks the first node's axis order and each step's node axis order and
-    operand order.  It minimises the accumulator elements copied, then the
-    estimated time: each step's multiplies plus ``GEMM_ELEMENT`` per
-    element its GEMMs read and write.  A copy ranks first because it also
-    doubles the step's live set.  Ties go to the first move found.
+    operand order.  Its estimated time is each call's multiplies plus
+    ``GEMM_ELEMENT`` per element its GEMMs read and write, ``CALL`` per
+    ``contract_pair`` call, and ``COPY`` per element of an accumulator or
+    a window input copied.  Ties go to the first move found.
 
-    Windows then lower the peak live set.  The program is the one with the
-    lowest ``peak_elements`` that copies no more than the unchunked one and
-    whose estimated time, now with ``CALL`` per ``contract_pair`` call and
-    ``COPY`` per element of a window input read by a copy, exceeds the
+    Without ``peak_bound``, the DP minimises the accumulator elements
+    copied, then the estimated time; a copy ranks first because it also
+    doubles the step's live set.  Windows then lower the peak live set.
+    The program is the one with the lowest ``peak_elements`` that copies no
+    more than the unchunked one and whose estimated time exceeds the
     unchunked program's by at most ``WINDOW_SLACK`` of the multiplies in
     its windows.  Each bound on the peak is tried by the same DP, allowing
     only the windows that hold it with the fewest blocks; a binary search
     over the candidate bounds finds the lowest that fits.
+
+    With ``peak_bound``, the program is the least-time one found whose
+    ``peak_elements`` is at most ``peak_bound``, or None.  Every window
+    that holds the bound is allowed, with any number of blocks and
+    whatever its cost, and the DP keeps the ``BEAM`` least-time states per
+    open window after each step.
     """
     if sorted(path) != sorted(shape.nodes):
         raise ValueError("path is not a permutation of the network's qubits")
@@ -521,21 +604,25 @@ def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
     ]
     widest = max((_rank(o, ext) for o in opens[1:]), default=0)
     m = len(elements)
+    bounded = peak_bound is not None
 
-    def peak_of(w: Window) -> int:
+    def live(t: int, w: Window | None) -> int:
+        """Step ``t``'s live set before any copy, in window ``w``."""
+        if w is None:
+            return elements[t]
         i, j, b = w.start, w.stop, w.blocks
         held = sizes[i] + sizes[j + 1] + sum(nodes[i:j + 1])
-        return held + max((sizes[k] + sizes[k + 1]) // b for k in range(i, j + 1))
+        return held + (sizes[t] + sizes[t + 1]) // b
+
+    def peak_of(w: Window) -> int:
+        return max(live(k, w) for k in range(w.start, w.stop + 1))
 
     def slack(i: int, j: int) -> float:
         return WINDOW_SLACK * sum(mults[i:j + 1])
 
     moves: dict = {}
-    # every unchunked program makes the same calls, so their cost is left out
-    unchunked = _search(path, legs, ext, widest, [True] * m, [()] * m, moves)
-    (copied, work), _, _ = unchunked
-    # every window whose extra calls and input read fit its slack, by
-    # (start, stop, axis) with the fewest blocks first
+    # every window, or every one whose extra calls and input read fit its
+    # slack, by (start, stop, axis) with the fewest blocks first
     spans: dict[tuple, list[Window]] = {}
     for i in range(m):
         for x in sorted(opens[i]):
@@ -546,57 +633,149 @@ def compile_program(shape: NetworkShape, path: list[int]) -> ContractionProgram:
                 spans[i, j, x] = [
                     Window(i, j, x, b)
                     for b in range(2, ext[x] // 2 + 1)
-                    if ext[x] % b == 0 and CALL * (b - 1) * (j - i + 1) <= room
+                    if ext[x] % b == 0
+                    and (bounded or CALL * (b - 1) * (j - i + 1) <= room)
                 ]
 
-    def within(bound: int):
-        """The least-time program whose peak is at most ``bound``, if it
-        copies no more than ``unchunked`` and its windows fit their slack."""
+    def within(bound):
+        """The least-cost program whose peak is at most ``bound``."""
         plain = [e <= bound for e in elements]
+        # a window may serve a step that cannot run unchunked, or, held to
+        # a peak bound, one whose accumulator a copy would not fit beside
+        tight = [e + (sizes[t] if bounded else 0) > bound for t, e in enumerate(elements)]
         starts = [[] for _ in range(m)]
         covered = set()
         for (i, j, _), ws in spans.items():
-            if not all(plain[i:j + 1]):
-                fits = [w for w in ws if peak_of(w) <= bound][:1]
+            if any(tight[i:j + 1]):
+                fits = [w for w in ws if peak_of(w) <= bound][:None if bounded else 1]
                 starts[i] += fits
                 covered.update(range(i, j + 1) if fits else ())
         if any(not p and t not in covered for t, p in enumerate(plain)):
             return None
-        found = _search(path, legs, ext, widest, plain, starts, moves, CALL)
-        if found is None or found[0][0] != copied:
-            return None
-        chosen = {w for *_, w in found[2] if w}
-        if found[0][1] > work + CALL * m + sum(slack(w.start, w.stop) for w in chosen):
-            return None
-        return found
+        return _search(
+            path, legs, ext, widest, plain, starts, moves,
+            lambda t, w: bound - live(t, w), bounded,
+        )
 
-    found = unchunked
-    bounds = sorted({*elements, *(peak_of(w) for ws in spans.values() for w in ws)})
-    lo, hi = 0, bounds.index(max(elements)) if m else 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        chunked = within(bounds[mid])
-        if chunked:
-            found, hi = chunked, mid
-        else:
-            lo = mid + 1
+    if bounded:
+        found = within(peak_bound)
+        if found is None:
+            return None
+    else:
+        found = within(math.inf)
+        (copied, est), _, _ = found
+        bounds = sorted({*elements, *(peak_of(w) for ws in spans.values() for w in ws)})
+        lo, hi = 0, bounds.index(max(elements)) if m else 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            chunked = within(bounds[mid])
+            # no more copies, and windows that fit their slack
+            if chunked and chunked[0][0] == copied and chunked[0][1] <= est + sum(
+                slack(w.start, w.stop) for w in {w for _, _, w, _ in chunked[2] if w}
+            ):
+                found, hi = chunked, mid
+            else:
+                lo = mid + 1
 
-    _, first, picked = found
+    (_, est), first, picked = found
     steps = tuple(
         Step(q, labels, node_first, e)
-        for q, (labels, node_first, _), e in zip(path[1:], picked, elements)
+        for q, (labels, node_first, _, _), e in zip(path[1:], picked, elements)
     )
-    chosen = tuple(dict.fromkeys(w for *_, w in picked if w))
-    inside = {t for w in chosen for t in range(w.start, w.stop + 1)}
-    peak_elements = max(
-        [e for t, e in enumerate(elements) if t not in inside]
-        + [peak_of(w) for w in chosen],
-        default=sizes[0],
-    )
+    chosen = tuple(dict.fromkeys(w for _, _, w, _ in picked if w))
     return ContractionProgram(
         path[0], first, steps, chosen, sum(mults),
-        max(_rank(opens[0], ext), widest), copied, peak_elements,
+        max(_rank(opens[0], ext), widest),
+        sum(c * (w.blocks if w else 1) for _, _, w, c in picked),
+        max((live(t, w) + c for t, (_, _, w, c) in enumerate(picked)), default=sizes[0]),
+        est,
     )
+
+
+# A qubit is absorbed as its two layer nodes where its merged step costs
+# more than LAYER_RATIO times their two steps.
+LAYER_RATIO = 8
+
+
+def _layer_orders(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+) -> dict[int, tuple[int, int]]:
+    """The qubits of ``path`` to absorb as two layer nodes, each with its
+    layers in the cheaper order: (q, ~q), phi_q first, or (~q, q).
+
+    With a and b the two states' bond extents, P the accumulator's edges
+    to q, F q's other edges and R the accumulator's other edges, the merged
+    step costs |R| a_P b_P a_F b_F multiplies.  Absorbing phi_q then psi_q*
+    costs 2 |R| b_P a_F (a_P + b_F), and psi_q* first 2 |R| a_P b_F
+    (b_P + a_F), so the first node, with P empty, never qualifies.  The
+    endpoints of cut edges stay merged, so a slice indexes merged axes
+    only.
+    """
+    a, b = phi.bond_dims, psi.bond_dims
+    kept = {q for e in cut_edges for q in e}
+    orders = {}
+    opened: frozenset[Edge] = frozenset()
+    for q in path:
+        legs = shape.open_edges((q,))
+        if q not in kept:
+            ap, bp = (prod(d[e] for e in opened & legs) for d in (a, b))
+            af, bf = (prod(d[e] for e in legs - opened) for d in (a, b))
+            phi_first, psi_first = 2 * bp * af * (ap + bf), 2 * ap * bf * (bp + af)
+            if ap * bp * af * bf > LAYER_RATIO * min(phi_first, psi_first):
+                orders[q] = (q, ~q) if phi_first <= psi_first else (~q, q)
+        opened ^= legs
+    return orders
+
+
+def _layered_shape(
+    shape: NetworkShape, phi: TNSState, psi: TNSState, layered: frozenset[int]
+) -> NetworkShape:
+    """``shape`` with each qubit of ``layered`` as its two layer nodes: each
+    edge at one splits into its phi bond and its psi bond, and the two
+    layers share their physical edge."""
+    a, b = phi.bond_dims, psi.bond_dims
+    edges = {}
+    for e, d in shape.edges.items():
+        if layered.isdisjoint(e):
+            edges[e] = d
+        else:
+            edges[e] = a[e]
+            edges[tuple(~q if q in layered else q for q in e)] = b[e]
+    for q in sorted(layered):
+        edges[q, ~q] = phi.tensors[q].dims[0]
+    return NetworkShape(shape.nodes + tuple(~q for q in sorted(layered)), edges)
+
+
+def _compile(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+) -> ContractionProgram:
+    """The merged program of ``path`` on the slice shape ``shape``, or the
+    program that layers the qubits ``_layer_orders`` picks when it fits
+    the merged program's peak and its estimated time is lower."""
+    program = compile_program(shape, path)
+    orders = _layer_orders(shape, phi, psi, path, cut_edges)
+    if not orders:
+        return program
+    layered = compile_program(
+        _layered_shape(shape, phi, psi, frozenset(orders)),
+        [v for q in path for v in orders.get(q, (q,))],
+        program.peak_elements,
+    )
+    # the DP's freed tuples stay on CPython's free lists (about 1 MB on
+    # square 3x3 d12) until a full collection: release them before the
+    # contraction allocates
+    gc.collect()
+    if layered is None or layered.time >= program.time:
+        return program
+    return layered
 
 
 def _absorb(acc: Tensor, node: Tensor, step: Step) -> Tensor:
@@ -703,10 +882,14 @@ def compute_amplitude(
 
     two states -> the overlap network's shape -> cut plan, whose one path
     search on slice 0 is reused for every slice -> that path compiled once
-    into a program -> sum of the slices' scalars.  Only then is a node
+    into a program, layering its costliest qubit steps where that pays
+    (``_compile``) -> sum of the slices' scalars.  Only then is a node
     built: with no cuts, each when its step reads it; with cuts, all up
-    front in program order, so each slice indexes them.  ``cuts`` is
-    "auto", None (no cuts) or a list of edges.
+    front in qubit order, so each slice indexes them.  ``cuts`` is "auto",
+    None (no cuts) or a list of edges.
+
+    ``path_score`` is the program's multiplies per slice, the search's
+    score unless a qubit is layered.
     """
     start = time.perf_counter()
     phi, psi = overlap_states(circuit, in_bits, out_bits, split_cycle)
@@ -715,9 +898,9 @@ def compute_amplitude(
     plan = plan_cuts(shape, max_rank, explicit)
     path = list(plan.path)
     edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
-    program = compile_program(NetworkShape(shape.nodes, edges), path)
+    program = _compile(NetworkShape(shape.nodes, edges), phi, psi, path, plan.cut_edges)
     if not plan.cut_edges:
-        net = StateOverlap(phi, psi)
+        net = StateOverlap(phi, psi, program.layered)
     else:
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
     total = sum(
@@ -731,6 +914,6 @@ def compute_amplitude(
         program.multiplies * plan.slice_count,
         plan.slice_count,
         path,
-        plan.score,
+        program.multiplies,
         ms,
     )

@@ -173,7 +173,9 @@ def plan_gemm(
     return _plan_gemm(tuple(dims_a), tuple(dims_b), tuple(map(tuple, pairs)))
 
 
-@lru_cache(maxsize=4096)
+# a program's calls repeat a few shapes; the compiler's DP tries thousands,
+# which a larger cache would hold for the life of the process
+@lru_cache(maxsize=256)
 def _plan_gemm(dims_a, dims_b, pairs) -> Gemm | None:
     swapped = [(ib, ia) for ia, ib in pairs]
     with_a = _as_block(dims_a, dims_b, pairs, True)

@@ -29,7 +29,7 @@ from tnsim.network import (
 )
 from tnsim.oracle import amplitude_oracle
 from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
-from tnsim.tensor import Gemm, Tensor
+from tnsim.tensor import Gemm, Tensor, contraction_cost
 from tnsim.tns import init_state, two_sided_evolve
 
 from conftest import random_bits
@@ -310,21 +310,24 @@ class TestComputeAmplitude:
             assert stats.amplitude == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("rows, cols, depth", [(3, 3, 12), (3, 4, 10)])
-    def test_one_slice_peak_within_the_program(self, rows, cols, depth):
+    def test_one_slice_peak_within_the_program(self, monkeypatch, rows, cols, depth):
         # nodes are built as their steps read them, so no node tensor sits
-        # outside the program's live set
+        # outside the live set of the program the run compiles
         n = rows * cols
         c = generate_rqc(generate_lattice("square", rows, cols), depth, seed=1)
-        shape = overlap_shape(*overlap_states(c, "0" * n, "0" * n))
-        plan = plan_cuts(shape)
-        assert plan.slice_count == 1
-        program = compile_program(shape, list(plan.path))
+        programs = []
+        run = network.contract_along_path
+        monkeypatch.setattr(
+            network, "contract_along_path",
+            lambda net, program: programs.append(program) or run(net, program),
+        )
         tracemalloc.start()
         try:
             stats = compute_amplitude(c, "0" * n, "0" * n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        (program,) = programs
         assert stats.multiplies == program.multiplies
         assert peak <= program.peak_elements * 16 + 2**20
 
@@ -379,11 +382,12 @@ class TestSearchOnOverlapNetworks:
         ]
 
 
-def random_grid_network(rng, rows: int, cols: int) -> TensorNetwork:
-    """A closed network on a rows x cols grid with extents 2-4 and
-    unit-norm random tensors, so its value has modulus at most 1."""
+def random_grid_network(rng, rows: int, cols: int, extents=(2, 5)) -> TensorNetwork:
+    """A closed network on a rows x cols grid with extents drawn from
+    ``range(*extents)`` and unit-norm random tensors, so its value has
+    modulus at most 1."""
     graph = generate_lattice("square", rows, cols)
-    ext = {e: int(rng.integers(2, 5)) for e in sorted(graph.edges)}
+    ext = {e: int(rng.integers(*extents)) for e in sorted(graph.edges)}
     tensors = {}
     for q in range(graph.num_qubits):
         legs = tuple(e for e in sorted(ext) if q in e)
@@ -552,6 +556,23 @@ class TestWindows:
         assert peak <= program.peak_elements * 16 + node
         assert peak < unchunked_peak(program) * 16
 
+    def test_measured_peak_counts_copies(self):
+        # a step that copies its accumulator holds it twice, so
+        # peak_elements counts the copy
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            net = random_grid_network(rng, 5, 5, extents=(6, 11))
+            shape = NetworkShape.from_network(net)
+            program = compile_program(shape, find_optimal_path(shape)[0])
+            assert program.copied > 0
+            tracemalloc.start()
+            try:
+                contract_along_path(net, program)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= program.peak_elements * 16 + 2**20
+
 
 def layouts(program) -> list:
     return [(step.node, step.labels, step.node_first) for step in program.steps]
@@ -640,3 +661,102 @@ class TestGemmPrice:
     def test_batch_reads_a_cached_matrix_once(self):
         # 256 x (32 x 16)(16 x 32) moves the elements of one (8192 x 16)(16 x 32)
         assert batch_time(8192, 32, 16, 32) == batch_time(8192, 8192, 16, 32)
+
+
+def run_with_program(monkeypatch, circuit, out, cuts):
+    """``compute_amplitude``'s stats on ``circuit`` from the all-zero
+    string, and the program it ran on every slice."""
+    programs = []
+    run = network.contract_along_path
+    monkeypatch.setattr(
+        network, "contract_along_path",
+        lambda net, program: programs.append(program) or run(net, program),
+    )
+    stats = compute_amplitude(circuit, "0" * circuit.num_qubits, out, cuts=cuts)
+    assert all(p is programs[0] for p in programs)
+    return stats, programs[0]
+
+
+def nrank(t: Tensor) -> int:
+    return sum(1 for d in t.dims if d > 1)
+
+
+class TestLayeredRuns:
+    """Square 3x3 d12 (``tnsim gen --lattice square --size 9 --depth 12
+    --seed 1``): absorbing qubit 4 as its two layer nodes costs 10.7 times
+    fewer multiplies than its merged step, so runs layer it."""
+
+    circuit = generate_rqc(generate_lattice("square", 3, 3), 12, seed=1)
+    outs = ("000000000", "010101010", "110010011")
+
+    @pytest.mark.parametrize(
+        "cuts, layered",
+        [(None, {4}), ([(0, 1)], {4}), ([(1, 4)], set())],
+        ids=["uncut", "cut-away-from-4", "cut-on-4"],
+    )
+    def test_matches_the_oracle(self, monkeypatch, cuts, layered):
+        for out in self.outs:
+            stats, program = run_with_program(monkeypatch, self.circuit, out, cuts)
+            # an endpoint of a cut edge stays merged
+            assert program.layered == layered
+            ref = amplitude_oracle(self.circuit, "0" * 9, out)
+            assert stats.amplitude == pytest.approx(ref, abs=1e-10)
+
+    def test_counted_multiplies_and_ranks_are_the_stats(self, monkeypatch):
+        costs, ranks = [], []
+        pair = network.contract_pair
+
+        def counted(a, b, pairs):
+            out = pair(a, b, pairs)
+            costs.append(contraction_cost(a.dims, b.dims, pairs))
+            ranks.extend((nrank(a), nrank(b), nrank(out)))
+            return out
+
+        monkeypatch.setattr(network, "contract_pair", counted)
+        stats, program = run_with_program(monkeypatch, self.circuit, "010101010", None)
+        assert program.layered == {4}
+        assert sum(costs) == stats.multiplies == stats.path_score
+        assert max(ranks) == stats.peak_rank
+        # the search's score counts qubit 4's merged step
+        shape = overlap_shape(*overlap_states(self.circuit, "0" * 9, "010101010"))
+        assert stats.path_score < plan_cuts(shape, explicit_edges=[]).score
+
+
+def states_and_path(rows, cols, depth, cuts=()):
+    n = rows * cols
+    c = generate_rqc(generate_lattice("square", rows, cols), depth, seed=1)
+    phi, psi = overlap_states(c, "0" * n, "0" * n)
+    shape = overlap_shape(phi, psi)
+    plan = plan_cuts(shape, explicit_edges=list(cuts))
+    edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
+    return phi, psi, NetworkShape(shape.nodes, edges), list(plan.path)
+
+
+class TestLayerChoice:
+    """Which qubits a run layers, and the program held to the merged peak."""
+
+    def test_square_4x4_d11_layers_its_three_costliest_steps(self):
+        phi, psi, shape, path = states_and_path(4, 4, 11)
+        orders = network._layer_orders(shape, phi, psi, path, ())
+        # qubit 5's ratio is exactly 8, so it stays merged
+        assert orders == {6: (~6, 6), 9: (9, ~9), 10: (~10, 10)}
+        merged = compile_program(shape, path)
+        layered = compile_program(
+            network._layered_shape(shape, phi, psi, frozenset(orders)),
+            [v for q in path for v in orders.get(q, (q,))],
+            merged.peak_elements,
+        )
+        assert layered.layered == {6, 9, 10}
+        assert layered.peak_elements <= merged.peak_elements
+        assert layered.windows
+        assert layered.time < merged.time
+        assert layered.multiplies < merged.multiplies / 4
+
+    def test_sliced_square_4x4_d10_stays_merged(self):
+        # qubits 9 and 10 have ratio exactly 8
+        phi, psi, shape, path = states_and_path(4, 4, 10, [(5, 6)])
+        assert network._layer_orders(shape, phi, psi, path, ((5, 6),)) == {}
+
+    def test_no_program_within_a_bound_too_small(self):
+        phi, psi, shape, path = states_and_path(3, 3, 12)
+        assert compile_program(shape, path, peak_bound=0) is None
