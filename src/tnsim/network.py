@@ -36,7 +36,7 @@ from .pathfind import (
     find_optimal_path,
     treewidth_bound,
 )
-from .tensor import Gemm, Tensor, contract_pair, plan_gemm
+from .tensor import STAGE, Tensor, contract_pair, gemm_time, plan_gemm
 from .tns import PHYS, TNSState, two_sided_evolve
 
 __all__ = [
@@ -336,21 +336,6 @@ def slice_network(
     return TensorNetwork(tensors)
 
 
-# A batch of GEMMs costs its multiplies plus GEMM_ELEMENT multiplies per
-# element its GEMMs read and write: each GEMM reads its rows of the block
-# and writes its output, and reads the matrix operand again, unless the
-# matrix fits in L1_ELEMENTS (a 48 KiB L1 data cache), when the batch reads
-# it once.  Measured with OpenBLAS on 2 cores, against one GEMM of the same
-# multiplies: batches of (S x 256)(256 x 256) ran 1.35, 1.7 and 1.7 times
-# slower at S = 64, 32 and 16 (priced 1.17, 1.34 and 1.68); batches of
-# (S x 512)(512 x 2048) ran as fast at S = 256 as at S = 512 and 8% slower
-# at S = 128 (priced +2.2% and +6.7%).  On square 4x4 d11's path, windows
-# of 2/4, 4/4, 2/8, 4/8, 8/8 and 16/8 blocks ran 3.74, 3.73, 3.61, 3.66,
-# 3.63 and 4.00 s, where the price adds 0, 1.2, 0.5, 1.7, 4.1 and 8.9% to
-# the first.
-GEMM_ELEMENT = 12
-L1_ELEMENTS = 3072
-
 # One ``contract_pair`` call costs about as much time as CALL multiplies at
 # the full rate, on top of its own multiplies.  Measured with OpenBLAS on 2
 # cores: a call on rank-3 or rank-4 operands of extent 2 took 22-29 us, and
@@ -411,13 +396,16 @@ class ContractionProgram:
     the same): the first node's axis order, one ``Step`` per node, and the
     windows that run some of the steps one block at a time.
 
-    ``copied`` counts the accumulator elements that steps copy into a new
-    axis order; 0 when every step multiplies the accumulator in place.
-    ``peak_elements`` is the program's largest live set: a step's
-    ``elements`` and the accumulator it copies, outside windows; inside a
-    window, its whole input and output and all its nodes, plus one block of
-    the step's accumulator, one of its result and the block it copies.
-    ``time`` is the compiler's estimate of the run time, in multiplies.
+    ``copied`` counts the accumulator elements that steps must copy into a
+    new axis order, staged because their paired axes split it or
+    transposed as a matrix operand; 0 when every step can multiply the
+    accumulator in place (a thin batch staged because that is faster does
+    not count).  ``peak_elements`` is the program's largest live set: a
+    step's ``elements``, the accumulator it transposes and the buffer it
+    stages through, outside windows; inside a window, its whole input and
+    output and all its nodes, plus one block of the step's accumulator, one
+    of its result and the block it transposes, and the buffer.  ``time``
+    is the compiler's estimate of the run time, in multiplies.
     """
 
     first: int
@@ -442,32 +430,29 @@ def _rank(labels, ext: dict) -> int:
     return sum(1 for lab in labels if ext[lab] > 1)
 
 
-def _gemm_time(g: Gemm) -> int:
-    """Estimated time of the multiplication ``g`` plans, in multiplies."""
-    m, k, n = g.inner
-    reads = g.batches if k * n > L1_ELEMENTS else 1
-    return g.batches * m * (k * n + GEMM_ELEMENT * (k + n)) + GEMM_ELEMENT * reads * k * n
-
-
 def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: int):
     """Each way to absorb a node with edges ``legs`` into an accumulator
     whose axes are in the order ``layout``: (node axis order, node first,
-    result layout, copied elements, estimated time in multiplies).
+    result layout, copied elements, held elements, estimated time in
+    multiplies).
 
-    The node's paired axes go first, in the accumulator's order, so only
-    the order of its free axes and the operand order are chosen.  The node
-    goes first only when neither operand has more axes than ``widest``,
-    the widest intermediate, so a call's first operand is never wider than
-    every intermediate.
+    A step copies the accumulator when its paired axes are not one run of
+    it, so that it is staged, or when it is the matrix operand and is
+    transposed.  Only the transposed copy is held whole; a staged step
+    holds its buffer.  The node's paired axes go first, in the
+    accumulator's order, so only the order of its free axes and the operand
+    order are chosen.  The node goes first only when neither operand has
+    more axes than ``widest``, the widest intermediate, so a call's first
+    operand is never wider than every intermediate.
     """
     shared = tuple(lab for lab in layout if lab in legs)
     free = tuple(lab for lab in legs if lab not in shared)
     rest = tuple(lab for lab in layout if lab not in shared)
     dims_acc = [ext[lab] for lab in layout]
     acc = prod(dims_acc)
-    k = prod(ext[lab] for lab in shared)
-    n = prod(ext[lab] for lab in free)
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
+    run = [i for i, _ in pairs]
+    split = bool(run) and run[-1] - run[0] + 1 != len(run)
     narrow = max(_rank(layout, ext), _rank(legs, ext)) <= widest
     # the node's paired axes lead it in the accumulator's order, so the
     # plan does not depend on the order of its free axes
@@ -478,28 +463,30 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
             g = plan_gemm(dims_node, dims_acc, [(j, i) for i, j in pairs])
         else:
             g = plan_gemm(dims_acc, dims_node, pairs)
-        if g is None:  # tensordot copies the accumulator into one matrix
-            copied, g = acc, Gemm(True, 1, k, acc // k, n, (), 0)
-        else:
-            acc_is_matrix = g.block_is_a == node_first
-            copied = acc if acc_is_matrix and g.copies_matrix else 0
-        plans.append((node_first, copied, _gemm_time(g)))
+        buffer = g.stage * g.k
+        if g.block_is_a == node_first:  # the accumulator is the matrix
+            copied = acc if g.copies_matrix else 0
+            work = gemm_time(g) + COPY * copied
+            plans.append((node_first, copied, copied + buffer, work))
+        else:  # the accumulator is the block, copied where a split run stages it
+            plans.append((node_first, acc if split else 0, buffer, gemm_time(g)))
     for order in permutations(free):
-        for node_first, copied, work in plans:
+        for node_first, copied, held, work in plans:
             result = order + rest if node_first else rest + order
-            yield shared + order, node_first, result, copied, work
+            yield shared + order, node_first, result, copied, held, work
 
 
 def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
     """The least-cost first axis order and moves, one (node axis order,
-    node first, window or None, copied elements) per step, or None.
+    node first, window or None, copied elements, held elements) per step,
+    or None.
 
     Step ``t`` runs unchunked only where ``plain[t]``; it may also open a
     window of ``starts[t]``, which reads its blocks with the window's axis
     moved to the front (``COPY`` per element unless it leads already), or
-    run in the window open before it.  A move may copy at most
-    ``room(t, window)`` accumulator elements.  Its time is its GEMMs',
-    ``CALL`` and ``COPY`` per element it copies, once per block.  A DP over
+    run in the window open before it.  A move may copy, and hold, at most
+    ``room(t, window)`` elements beside its live set.  Its time is its
+    ``_moves`` estimate and ``CALL``, once per block.  A DP over
     (accumulator axis order, open window), memoised per step.
 
     The cost is (copied elements, time), and ``moves`` caches each step's
@@ -533,14 +520,21 @@ def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
                 if chunk not in cache:
                     e = {**ext, w.axis: ext[w.axis] // blocks} if w else ext
                     cache[chunk] = list(_moves(lay, legs[q], e, widest))
-                for labels, node_first, result, copied, work in cache[chunk]:
-                    if copied > most:
+                for labels, node_first, result, copied, held, work in cache[chunk]:
+                    # a staged step holds only its buffer but gets room for
+                    # its whole copy: on square 4x4 d11 with qubits 6, 9 and
+                    # 10 layered, the windows the buffer alone allows (4 and
+                    # 8 blocks, peak 7.34M elements) ran no faster than 8
+                    # and 16 blocks (peak 4.20M)
+                    if max(copied, held) > most:
                         continue
                     c = (0 if bounded else cost[0] + copied * blocks,
-                         cost[1] + (work + CALL + COPY * copied) * blocks + read)
+                         cost[1] + (work + CALL) * blocks + read)
                     key = (result, after)
                     if key not in best or c < best[key][0]:
-                        best[key] = (c, (layout, open_), (labels, node_first, w, copied))
+                        best[key] = (
+                            c, (layout, open_), (labels, node_first, w, copied, held)
+                        )
         if not best:
             return None
         if bounded:
@@ -569,13 +563,15 @@ def compile_program(
 
     A DP over the accumulator's axis order, memoised on (step, layout),
     picks the first node's axis order and each step's node axis order and
-    operand order.  Its estimated time is each call's multiplies plus
-    ``GEMM_ELEMENT`` per element its GEMMs read and write, ``CALL`` per
-    ``contract_pair`` call, and ``COPY`` per element of an accumulator or
-    a window input copied.  Ties go to the first move found.
+    operand order.  Its estimated time is each call's ``gemm_time`` (its
+    multiplies, the elements its GEMMs read and write, and a staged step's
+    copy), ``CALL`` per ``contract_pair`` call, and ``COPY`` per element of
+    an accumulator transposed or a window input copied.  Ties go to the
+    first move found.
 
     Without ``peak_bound``, the DP minimises the accumulator elements
-    copied, then the estimated time; a copy ranks first because it also
+    copied, then the estimated time; a copy ranks first because it reads
+    and writes the whole accumulator once more, and a transposed one also
     doubles the step's live set.  Windows then lower the peak live set.
     The program is the one with the lowest ``peak_elements`` that copies no
     more than the unchunked one and whose estimated time exceeds the
@@ -664,14 +660,16 @@ def compile_program(
     else:
         found = within(math.inf)
         (copied, est), _, _ = found
-        bounds = sorted({*elements, *(peak_of(w) for ws in spans.values() for w in ws)})
+        # each live set, alone or beside a staging buffer
+        lives = {*elements, *(peak_of(w) for ws in spans.values() for w in ws)}
+        bounds = sorted({b + extra for b in lives for extra in (0, STAGE)})
         lo, hi = 0, bounds.index(max(elements)) if m else 0
         while lo < hi:
             mid = (lo + hi) // 2
             chunked = within(bounds[mid])
             # no more copies, and windows that fit their slack
             if chunked and chunked[0][0] == copied and chunked[0][1] <= est + sum(
-                slack(w.start, w.stop) for w in {w for _, _, w, _ in chunked[2] if w}
+                slack(w.start, w.stop) for w in {w for _, _, w, _, _ in chunked[2] if w}
             ):
                 found, hi = chunked, mid
             else:
@@ -680,14 +678,14 @@ def compile_program(
     (_, est), first, picked = found
     steps = tuple(
         Step(q, labels, node_first, e)
-        for q, (labels, node_first, _, _), e in zip(path[1:], picked, elements)
+        for q, (labels, node_first, *_), e in zip(path[1:], picked, elements)
     )
-    chosen = tuple(dict.fromkeys(w for _, _, w, _ in picked if w))
+    chosen = tuple(dict.fromkeys(w for _, _, w, _, _ in picked if w))
     return ContractionProgram(
         path[0], first, steps, chosen, sum(mults),
         max(_rank(opens[0], ext), widest),
-        sum(c * (w.blocks if w else 1) for _, _, w, c in picked),
-        max((live(t, w) + c for t, (_, _, w, c) in enumerate(picked)), default=sizes[0]),
+        sum(c * (w.blocks if w else 1) for _, _, w, c, _ in picked),
+        max((live(t, w) + h for t, (*_, w, _, h) in enumerate(picked)), default=sizes[0]),
         est,
     )
 

@@ -21,6 +21,7 @@ __all__ = [
     "TensorError",
     "Gemm",
     "contract_pair",
+    "gemm_time",
     "plan_gemm",
     "svd_factorize",
     "contraction_cost",
@@ -100,11 +101,15 @@ def _check_pairs(a: Tensor, b: Tensor, pairs: Sequence[tuple[int, int]]) -> None
 class Gemm(NamedTuple):
     """How ``contract_pair`` multiplies by BLAS.
 
-    The block operand (``a`` when ``block_is_a``) is read in place as a
-    (P, K, S) array: K is its paired axes, one contiguous run, and P and S
-    its axes before and after the run.  The other operand is read as a
-    (K, N) matrix: ``matrix_axes`` lists its ``paired`` paired axes first,
-    in the block's order, then its N free axes.
+    The block operand (``a`` when ``block_is_a``) has K elements on its
+    paired axes.  The other operand is read as a (K, N) matrix:
+    ``matrix_axes`` lists its ``paired`` paired axes first, in the block's
+    order, then its N free axes.  When the block's paired axes are one
+    contiguous run, it is read in place as a (P, K, S) array, P and S its
+    axes before and after the run.  A *staged* plan (``stage`` > 0) instead
+    copies the block, ``stage`` rows at a time, into a buffer with its
+    paired axes last, and runs one GEMM per chunk, ``chunks`` in all; its P
+    counts every row, the product of the block's free axes, and S is 1.
     """
 
     block_is_a: bool
@@ -114,6 +119,8 @@ class Gemm(NamedTuple):
     n: int
     matrix_axes: tuple[int, ...]
     paired: int
+    stage: int = 0
+    chunks: int = 0
 
     @property
     def copies_matrix(self) -> bool:
@@ -125,14 +132,75 @@ class Gemm(NamedTuple):
 
     @property
     def batches(self) -> int:
-        """The GEMMs ``_matmul`` runs: P when both P and S exceed 1, else 1."""
-        return self.p if self.s > 1 else 1
+        """The GEMMs the plan runs: one per chunk when staged, else P when
+        both P and S exceed 1, else 1."""
+        return self.chunks or (self.p if self.s > 1 else 1)
 
-    @property
-    def inner(self) -> tuple[int, int, int]:
-        """(M, K, N) of the one GEMM, or of each GEMM of the batch over P:
-        M is S, or P when S is 1."""
-        return (self.s if self.s > 1 else self.p, self.k, self.n)
+
+# A plan costs its multiplies plus GEMM_ELEMENT multiplies per element its
+# GEMMs read and write: each GEMM reads its rows of the block and writes its
+# output, and reads the matrix operand again, unless the matrix fits in
+# L1_ELEMENTS (a 48 KiB L1 data cache), when the plan reads it once.
+# Measured with OpenBLAS on 2 cores, against one GEMM of the same
+# multiplies: batches of (S x 256)(256 x 256) ran 1.35, 1.7 and 1.7 times
+# slower at S = 64, 32 and 16 (priced 1.17, 1.34 and, with THIN_ROWS below,
+# 2.68); batches of (S x 512)(512 x 2048) ran as fast at S = 256 as at
+# S = 512 and 8% slower at S = 128 (priced +2.2% and +6.7%).  On square 4x4 d11's
+# path, windows of 2/4, 4/4, 2/8, 4/8, 8/8 and 16/8 blocks ran 3.74, 3.73,
+# 3.61, 3.66, 3.63 and 4.00 s, where the price adds 0, 1.2, 0.5, 1.7, 4.1
+# and 8.9% to the first.
+GEMM_ELEMENT = 12
+L1_ELEMENTS = 3072
+
+# A GEMM of fewer than THIN_ROWS rows takes as long as one of THIN_ROWS
+# rows, and a staged plan adds STAGE_ELEMENT multiplies per element it
+# copies.  Fitted with OpenBLAS on 2 cores to batches of 26 shapes and their
+# staged plans, block as a and as b (medians of up to 21 calls): the price
+# picks the faster of the two in 43 of 52 cases and loses 3.2 ms in all
+# where it does not.  1024 x (16 x 32)(32 x 128) took 33.0 and 24.5 ms
+# batched (block as a, as b) and 19.0 and 23.6 ms staged; 4096 x (4 x 32)
+# (32 x 32) took 11.3 and 9.2 ms batched and 5.1 ms staged; 8 x (256 x 512)
+# (512 x 2048) took 237 and 245 ms batched and 260 and 280 ms staged, so it
+# stays batched.  Neither role was the slower one throughout: b's batch took
+# 0.54 to 1.79 times a's (median 1.02), so both roles share one price.
+THIN_ROWS = 32
+STAGE_ELEMENT = 96
+
+# A staged plan copies at most STAGE elements of its block at a time, 1 MiB.
+# Measured with OpenBLAS on 2 cores (medians of 15 calls) with chunks of at
+# most 16Ki, 64Ki and 256Ki elements and with the whole block in one chunk:
+# the 1024 x (16 x 32)(32 x 128) batch took 21.4, 22.5, 18.6 and 18.3 ms,
+# the 4096 x (4 x 32)(32 x 32) one 6.4, 5.6, 5.7 and 6.2 ms, and two split
+# runs of 2^21 elements, with K = 1024 and K = 64, 40.4, 31.6, 28.5 and
+# 37.4 ms and 27.6, 24.2, 24.2 and 32.0 ms, where copying the whole operand
+# into one matrix first took 34.6 and 51.0 ms.
+STAGE = 65_536
+
+
+def gemm_time(g: Gemm) -> int:
+    """Estimated time of the multiplication ``g`` plans, in multiplies: for
+    a staged plan, its GEMMs and its copy into the buffer."""
+    k, n = g.k, g.n
+    m = g.stage or (g.s if g.s > 1 else g.p)  # the rows of each GEMM
+    rows = g.p * g.s + g.batches * max(0, THIN_ROWS - m)
+    reads = g.batches if k * n > L1_ELEMENTS else 1
+    copy = STAGE_ELEMENT * g.p * k if g.stage else 0
+    return rows * (k * n + GEMM_ELEMENT * (k + n)) + GEMM_ELEMENT * reads * k * n + copy
+
+
+def _chunking(free: Sequence[int], k: int) -> tuple[int, int]:
+    """How a staged block whose free axes have extents ``free`` and whose
+    paired axes hold ``k`` elements is cut into chunks of at most
+    ``STAGE // k`` rows, or of one row: (axis i, step t).  A chunk takes one
+    index of each free axis before axis i, t indices of axis i and every
+    index of the axes after it."""
+    most = max(1, STAGE // k)
+    inner = 1
+    for i in reversed(range(len(free))):
+        if inner * free[i] > most:
+            return i, most // inner
+        inner *= free[i]
+    return 0, free[0]
 
 
 def _as_block(
@@ -140,24 +208,28 @@ def _as_block(
     dims_mat: Sequence[int],
     pairs: Sequence[tuple[int, int]],
     block_is_a: bool,
-) -> Gemm | None:
-    """The plan with the operand of ``dims_blk`` as the block, or None when
-    its paired axes (first of each pair) are not one contiguous run."""
+    staged: bool = False,
+) -> Gemm:
+    """The plan with the operand of ``dims_blk`` as the block: in place
+    when its paired axes (first of each pair) are one contiguous run and
+    not ``staged``, else staged."""
     run = sorted(pairs)
-    start = run[0][0] if run else len(dims_blk)
-    stop = start + len(run)
-    if [i for i, _ in run] != list(range(start, stop)):
-        return None
+    axes = [i for i, _ in run]
     paired = tuple(j for _, j in run)
-    free = tuple(j for j in range(len(dims_mat)) if j not in paired)
+    matrix_axes = paired + tuple(j for j in range(len(dims_mat)) if j not in paired)
+    k = prod(dims_blk[i] for i in axes)
+    n = prod(dims_mat) // k
+    start = axes[0] if run else len(dims_blk)
+    if not staged and axes == list(range(start, start + len(axes))):
+        p = prod(dims_blk[:start])
+        return Gemm(
+            block_is_a, p, k, prod(dims_blk) // (p * k), n, matrix_axes, len(paired)
+        )
+    free = [d for i, d in enumerate(dims_blk) if i not in axes]
+    i, t = _chunking(free, k)
     return Gemm(
-        block_is_a,
-        prod(dims_blk[:start]),
-        prod(dims_blk[start:stop]),
-        prod(dims_blk[stop:]),
-        prod(dims_mat[j] for j in free),
-        paired + free,
-        len(paired),
+        block_is_a, prod(free), k, 1, n, matrix_axes, len(paired),
+        t * prod(free[i + 1:]), prod(free[:i]) * -(-free[i] // t),
     )
 
 
@@ -165,36 +237,84 @@ def plan_gemm(
     dims_a: Sequence[int],
     dims_b: Sequence[int],
     pairs: Sequence[tuple[int, int]],
-) -> Gemm | None:
-    """The multiplication ``contract_pair`` makes for these shapes, or None
-    when the larger operand (``a`` on a tie) has its paired axes in more
-    than one run.  The larger operand is the block, unless that copies the
-    smaller one and the smaller one as the block copies nothing."""
+) -> Gemm:
+    """The multiplication ``contract_pair`` makes for these shapes.
+
+    The larger operand (``a`` on a tie) is the block, unless that copies the
+    smaller one and the smaller one is an in-place block that copies
+    nothing.  The block is staged when its paired axes are in more than one
+    run, or when it would run a batch of GEMMs priced above the staged
+    plan (``gemm_time``).
+    """
     return _plan_gemm(tuple(dims_a), tuple(dims_b), tuple(map(tuple, pairs)))
 
 
 # a program's calls repeat a few shapes; the compiler's DP tries thousands,
 # which a larger cache would hold for the life of the process
 @lru_cache(maxsize=256)
-def _plan_gemm(dims_a, dims_b, pairs) -> Gemm | None:
+def _plan_gemm(dims_a, dims_b, pairs) -> Gemm:
     swapped = [(ib, ia) for ia, ib in pairs]
-    with_a = _as_block(dims_a, dims_b, pairs, True)
-    with_b = _as_block(dims_b, dims_a, swapped, False)
-    if prod(dims_a) >= prod(dims_b):
-        large, small = with_a, with_b
-    else:
-        large, small = with_b, with_a
-    if large and large.copies_matrix and small and not small.copies_matrix:
-        return small
-    return large
+    roles = [(dims_a, dims_b, pairs, True), (dims_b, dims_a, swapped, False)]
+    if prod(dims_a) < prod(dims_b):
+        roles.reverse()
+    g = _as_block(*roles[0])
+    if g.copies_matrix:
+        other = _as_block(*roles[1])
+        if not other.stage and not other.copies_matrix:
+            g = other
+            roles.reverse()
+    if g.batches > 1 and not g.stage:
+        staged = _as_block(*roles[0], staged=True)
+        if gemm_time(staged) < gemm_time(g):
+            return staged
+    return g
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, g: Gemm) -> np.ndarray:
+def _run_staged(block: np.ndarray, axes: list[int], m: np.ndarray, g: Gemm) -> np.ndarray:
+    """The staged plan ``g`` of ``block``, whose paired axes are ``axes``
+    (ascending), times the (K, N) matrix ``m``: (P, N) when the block is
+    ``a``, (N, P) when it is ``b``.  Each chunk of rows is copied into one
+    buffer with the paired axes last, then multiplied straight into its
+    rows of the result."""
+    free = [i for i in range(block.ndim) if i not in axes]
+    dims = [block.shape[i] for i in free]
+    i, t = _chunking(dims, g.k)
+    out = np.empty((g.p, g.n) if g.block_is_a else (g.n, g.p), dtype=block.dtype)
+    buf = np.empty(g.stage * g.k, dtype=block.dtype)  # per call: calls may be concurrent
+    # the paired axes that end the block are contiguous in it and in the
+    # buffer, so each run of them is copied as one item
+    tail = 0
+    while tail < len(axes) and axes[-1 - tail] == block.ndim - 1 - tail:
+        tail += 1
+    run = prod(block.shape[block.ndim - tail:])
+    item = np.dtype((np.void, run * block.itemsize))
+    items = block.reshape(block.shape[:block.ndim - tail] + (run,)).view(item)[..., 0]
+    view = items.transpose(free + axes[:len(axes) - tail])
+    row = 0
+    for index in np.ndindex(*dims[:i]):
+        for start in range(0, dims[i], t):
+            part = view[index + (slice(start, start + t),)]
+            staged = buf[:part.size * run]
+            staged.view(item).reshape(part.shape)[...] = part
+            rows = part.size * run // g.k
+            chunk = staged.reshape(rows, g.k)
+            if g.block_is_a:
+                np.matmul(chunk, m, out=out[row:row + rows])
+            else:
+                np.matmul(m.T, chunk.T, out=out[:, row:row + rows])
+            row += rows
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, g: Gemm, axes: list[int]) -> np.ndarray:
     """``a`` contracted with ``b`` as ``g`` plans it, flat in result order:
-    [P, S, N] when ``a`` is the block, [N, P, S] when ``b`` is."""
+    [P, S, N] when ``a`` is the block, [N, P, S] when ``b`` is.  ``axes``
+    are the block's paired axes, ascending."""
     block, other = (a, b) if g.block_is_a else (b, a)
     # a view unless the paired axes neither lead nor trail
     m = other.transpose(g.matrix_axes).reshape(g.k, g.n)
+    if g.stage:
+        return _run_staged(block, axes, m, g)
     if g.block_is_a:
         if g.s == 1:
             return block.reshape(g.p, g.k) @ m
@@ -224,8 +344,11 @@ def contract_pair(
     (not even that when its paired axes already lead or trail in that
     order).  The roles swap when only the swap avoids that transposition.
     The step is one GEMM when P or S is 1, else one GEMM per index of P.
-    Any other layout falls back to ``np.tensordot``, which copies both
-    operands into matrices.
+    When the larger operand's paired axes are in more than one run, or a
+    batch over P is priced above it, the step is staged instead: the block
+    is copied a few rows at a time into a buffer of at most ``STAGE``
+    elements, paired axes last, and each chunk is one GEMM written into its
+    rows of the result.
     """
     _check_pairs(a, b, pairs)
     axes_a = [ia for ia, _ in pairs]
@@ -233,13 +356,10 @@ def contract_pair(
     free_a = [i for i in range(a.rank) if i not in axes_a]
     free_b = [i for i in range(b.rank) if i not in axes_b]
     g = plan_gemm(a.dims, b.dims, pairs)
-    if g is None:
-        out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    else:
-        dims = [a.dims[i] for i in free_a] + [b.dims[i] for i in free_b]
-        out = _matmul(a.data, b.data, g).reshape(dims)
+    dims = [a.dims[i] for i in free_a] + [b.dims[i] for i in free_b]
+    out = _matmul(a.data, b.data, g, sorted(axes_a if g.block_is_a else axes_b))
     labels = tuple(a.labels[i] for i in free_a) + tuple(b.labels[i] for i in free_b)
-    return Tensor(out, labels)
+    return Tensor(out.reshape(dims), labels)
 
 
 def svd_factorize(

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -190,6 +191,20 @@ class TestAmplitude:
         )
         assert rc == 0
         assert out.count(",") >= 4 and "{" not in out
+
+    def test_csv_row_reads_back_one_field_per_key(self, capsys, circuit_file):
+        args = ["amplitude", "-c", circuit_file, "--in", "0000", "--out", "0110"]
+        _, out_json, _ = run(capsys, args)
+        rc, out, _ = run(capsys, args + ["--format", "csv"])
+        assert rc == 0
+        rec = json.loads(out_json)
+        (row,) = csv.reader(io.StringIO(out))
+        assert len(row) == len(rec) == 6
+        for key, field in zip(sorted(rec), row):
+            if isinstance(rec[key], list):  # amplitude and path
+                assert json.loads(field) == rec[key]
+            else:
+                assert field == str(rec[key])
 
     def test_explicit_and_disabled_cuts(self, capsys, circuit_file):
         base = ["amplitude", "-c", circuit_file, "--in", "0000", "--out", "0101"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnsim import tensor
 from tnsim.tensor import (
     Tensor,
     TensorError,
@@ -153,11 +154,11 @@ class TestContractPairLayouts:
         expected = loop_contract(large, small, pairs)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_non_contiguous_run_falls_back(self, rng):
+    def test_non_contiguous_run_is_staged(self, rng):
         large = Tensor(crandn(rng, 2, 3, 4, 3), tuple(f"l{i}" for i in range(4)))
         small = Tensor(crandn(rng, 2, 4, 2), ("s0", "s1", "s2"))
         pairs = [(0, 0), (2, 1)]
-        assert plan_gemm(large.dims, small.dims, pairs) is None
+        assert plan_gemm(large.dims, small.dims, pairs).stage
         out = contract_pair(large, small, pairs)
         expected = loop_contract(large, small, pairs)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -176,6 +177,95 @@ class TestContractPairLayouts:
             finally:
                 tracemalloc.stop()
             assert peak < large.data.nbytes / 4
+
+    def test_split_run_allocates_one_buffer(self, rng):
+        # 2^20 elements, 16 MiB, paired on its second and last axes
+        large = Tensor(crandn(rng, 64, 16, 16, 64), tuple(f"l{i}" for i in range(4)))
+        small = Tensor(crandn(rng, 16, 64, 4), ("s0", "s1", "s2"))
+        pairs = [(1, 0), (3, 1)]
+        swapped = [(j, i) for i, j in pairs]
+        for a, b, ab in ((large, small, pairs), (small, large, swapped)):
+            assert plan_gemm(a.dims, b.dims, ab).stage
+            tracemalloc.start()
+            try:
+                out = contract_pair(a, b, ab)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.data.nbytes + small.data.nbytes + 2**20
+
+
+@pytest.fixture
+def stage(monkeypatch):
+    """Sets ``tensor.STAGE`` for one test; plans are cached, so the cache
+    is cleared on the way in and out."""
+
+    def set_stage(elements):
+        monkeypatch.setattr(tensor, "STAGE", elements)
+        tensor._plan_gemm.cache_clear()
+
+    yield set_stage
+    tensor._plan_gemm.cache_clear()
+
+
+def labelled(data, prefix):
+    return Tensor(data, tuple(f"{prefix}{i}" for i in range(data.ndim)))
+
+
+class TestStagedKernel:
+    """Staged plans against the loop oracle: the block is copied a chunk of
+    rows at a time into one buffer and each chunk is one GEMM."""
+
+    @pytest.mark.parametrize("block_first", [True, False], ids=["block-a", "block-b"])
+    def test_thin_batch(self, rng, block_first):
+        # 64 GEMMs of (2 x 8)(8 x 8): thinner than THIN_ROWS, so staged
+        block = labelled(crandn(rng, 64, 8, 2), "p")
+        matrix = labelled(crandn(rng, 8, 8), "m")
+        if block_first:
+            a, b, pairs = block, matrix, [(1, 0)]
+        else:
+            a, b, pairs = matrix, block, [(0, 1)]
+        g = plan_gemm(a.dims, b.dims, pairs)
+        assert g.stage and g.block_is_a == block_first and g.batches == 1
+        np.testing.assert_allclose(
+            contract_pair(a, b, pairs).data, loop_contract(a, b, pairs), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("large_first", [True, False], ids=["large-a", "large-b"])
+    def test_split_run(self, rng, large_first):
+        large = labelled(crandn(rng, 3, 2, 5, 4, 2), "l")
+        small = labelled(crandn(rng, 4, 3, 2), "s")
+        pairs = [(3, 0), (0, 1)]  # paired axes 0 and 3 of the large operand
+        if not large_first:
+            large, small, pairs = small, large, [(j, i) for i, j in pairs]
+        g = plan_gemm(large.dims, small.dims, pairs)
+        assert g.stage and g.block_is_a == large_first
+        np.testing.assert_allclose(
+            contract_pair(large, small, pairs).data,
+            loop_contract(large, small, pairs),
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "elements, stage_rows, chunks",
+        [(36, 6, 3), (4096, 15, 1), (4, 1, 15)],
+        ids=["rows-not-a-multiple-of-the-chunk", "chunk-larger-than-the-rows",
+             "k-larger-than-stage"],
+    )
+    def test_chunks(self, rng, stage, elements, stage_rows, chunks):
+        # free axes 5 and 3 (15 rows) around paired axes of 2 and 3 (K = 6)
+        stage(elements)
+        large = labelled(crandn(rng, 2, 5, 3, 3), "l")
+        small = labelled(crandn(rng, 3, 4, 2), "s")
+        pairs = [(0, 2), (3, 0)]
+        g = plan_gemm(large.dims, small.dims, pairs)
+        assert (g.k, g.stage, g.chunks) == (6, stage_rows, chunks)
+        assert g.stage * g.k <= max(elements, g.k)
+        np.testing.assert_allclose(
+            contract_pair(large, small, pairs).data,
+            loop_contract(large, small, pairs),
+            atol=1e-12,
+        )
 
 
 class TestSvdFactorize:
