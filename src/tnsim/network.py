@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from math import prod
 from operator import xor
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -376,8 +376,7 @@ class Step:
     elements: int
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Steps ``start`` to ``stop`` (inclusive) run once per block of the
     accumulator axis ``axis``, which none of their nodes carries, cut into
     ``blocks`` equal blocks of extent 2 or more.  Each block is read with
@@ -430,19 +429,19 @@ def _rank(labels, ext: dict) -> int:
     return sum(1 for lab in labels if ext[lab] > 1)
 
 
-def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: int):
-    """Each way to absorb a node with edges ``legs`` into an accumulator
-    whose axes are in the order ``layout``: (node axis order, node first,
-    result layout, copied elements, held elements, estimated time in
-    multiplies).
+def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: bool):
+    """The ways to absorb a node with edges ``legs`` into an accumulator
+    whose axes are in the order ``layout``: per operand order, (node first,
+    copied elements, held elements, estimated time in multiplies, and each
+    (node axis order, result layout) it can give).
 
     A step copies the accumulator when its paired axes are not one run of
     it, so that it is staged, or when it is the matrix operand and is
     transposed.  Only the transposed copy is held whole; a staged step
     holds its buffer.  The node's paired axes go first, in the
     accumulator's order, so only the order of its free axes and the operand
-    order are chosen.  The node goes first only when neither operand has
-    more axes than ``widest``, the widest intermediate, so a call's first
+    order are chosen.  The node goes first only when ``narrow``: neither
+    operand has more axes than the widest intermediate, so a call's first
     operand is never wider than every intermediate.
     """
     shared = tuple(lab for lab in layout if lab in legs)
@@ -453,10 +452,10 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
     run = [i for i, _ in pairs]
     split = bool(run) and run[-1] - run[0] + 1 != len(run)
-    narrow = max(_rank(layout, ext), _rank(legs, ext)) <= widest
     # the node's paired axes lead it in the accumulator's order, so the
     # plan does not depend on the order of its free axes
     dims_node = [ext[lab] for lab in shared + free]
+    orders = list(permutations(free))
     plans = []
     for node_first in (False, True) if narrow else (False,):
         if node_first:
@@ -467,16 +466,15 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, widest: 
         if g.block_is_a == node_first:  # the accumulator is the matrix
             copied = acc if g.copies_matrix else 0
             work = gemm_time(g) + COPY * copied
-            plans.append((node_first, copied, copied + buffer, work))
+            held = copied + buffer
         else:  # the accumulator is the block, copied where a split run stages it
-            plans.append((node_first, acc if split else 0, buffer, gemm_time(g)))
-    for order in permutations(free):
-        for node_first, copied, held, work in plans:
-            result = order + rest if node_first else rest + order
-            yield shared + order, node_first, result, copied, held, work
+            copied, held, work = acc if split else 0, buffer, gemm_time(g)
+        outs = [(shared + o, o + rest if node_first else rest + o) for o in orders]
+        plans.append((node_first, copied, held, work, outs))
+    return plans
 
 
-def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
+def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
     """The least-cost first axis order and moves, one (node axis order,
     node first, window or None, copied elements, held elements) per step,
     or None.
@@ -486,21 +484,21 @@ def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
     moved to the front (``COPY`` per element unless it leads already), or
     run in the window open before it.  A move may copy, and hold, at most
     ``room(t, window)`` elements beside its live set.  Its time is its
-    ``_moves`` estimate and ``CALL``, once per block.  A DP over
-    (accumulator axis order, open window), memoised per step.
+    ``_moves`` estimate and ``CALL``, once per block; the node may go first
+    only where ``narrow[t]``.  A DP over (accumulator axis order, open
+    window), memoised per step.
 
     The cost is (copied elements, time), and ``moves`` caches each step's
     moves from a layout, in or out of a window, across calls.  When
-    ``bounded``, the cost is (0, time), a step's moves are kept for that
-    step only, and only the ``BEAM`` least-cost states per open window
-    survive each step.
+    ``bounded``, the cost is (0, time) and only the ``BEAM`` least-cost
+    states per open window survive each step.
     """
     # (result layout, window still open) -> (cost so far, previous key, move)
     layer = {(lay, None): ((0, 0), None, None) for lay in permutations(legs[path[0]])}
     history = []
     for t, q in enumerate(path[1:]):
         best: dict = {}
-        cache = {} if bounded else moves
+        rooms: dict = {}
         for (layout, open_), (cost, _, _) in layer.items():
             if open_ is not None:
                 options = [(open_, layout, 0)]
@@ -515,12 +513,14 @@ def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
             for w, lay, read in options:
                 blocks = w.blocks if w else 1
                 after = None if w is None or w.stop == t else w
-                most = room(t, w)
+                most = rooms.get(w)
+                if most is None:
+                    most = rooms[w] = room(t, w)
                 chunk = (lay, t, w and (w.axis, blocks))
-                if chunk not in cache:
+                if chunk not in moves:
                     e = {**ext, w.axis: ext[w.axis] // blocks} if w else ext
-                    cache[chunk] = list(_moves(lay, legs[q], e, widest))
-                for labels, node_first, result, copied, held, work in cache[chunk]:
+                    moves[chunk] = _moves(lay, legs[q], e, narrow[t])
+                for node_first, copied, held, work, outs in moves[chunk]:
                     # a staged step holds only its buffer but gets room for
                     # its whole copy: on square 4x4 d11 with qubits 6, 9 and
                     # 10 layered, the windows the buffer alone allows (4 and
@@ -530,11 +530,13 @@ def _search(path, legs, ext, widest, plain, starts, moves, room, bounded):
                         continue
                     c = (0 if bounded else cost[0] + copied * blocks,
                          cost[1] + (work + CALL) * blocks + read)
-                    key = (result, after)
-                    if key not in best or c < best[key][0]:
-                        best[key] = (
-                            c, (layout, open_), (labels, node_first, w, copied, held)
-                        )
+                    for labels, result in outs:
+                        key = (result, after)
+                        old = best.get(key)
+                        if old is None or c < old[0]:
+                            best[key] = (
+                                c, (layout, open_), (labels, node_first, w, copied, held)
+                            )
         if not best:
             return None
         if bounded:
@@ -572,19 +574,23 @@ def compile_program(
     Without ``peak_bound``, the DP minimises the accumulator elements
     copied, then the estimated time; a copy ranks first because it reads
     and writes the whole accumulator once more, and a transposed one also
-    doubles the step's live set.  Windows then lower the peak live set.
-    The program is the one with the lowest ``peak_elements`` that copies no
-    more than the unchunked one and whose estimated time exceeds the
-    unchunked program's by at most ``WINDOW_SLACK`` of the multiplies in
-    its windows.  Each bound on the peak is tried by the same DP, allowing
-    only the windows that hold it with the fewest blocks; a binary search
-    over the candidate bounds finds the lowest that fits.
+    doubles the step's live set.  With it, the DP minimises the estimated
+    time of the programs whose ``peak_elements`` is at most ``peak_bound``,
+    keeping the ``BEAM`` least-time states per open window after each step,
+    and the result is None when there are none.  A step that cannot run
+    unchunked within the bound may open a window of any number of blocks
+    that holds it, whatever its cost; only where that finds no program may
+    a step whose accumulator a copy would not fit beside open one too.
 
-    With ``peak_bound``, the program is the least-time one found whose
-    ``peak_elements`` is at most ``peak_bound``, or None.  Every window
-    that holds the bound is allowed, with any number of blocks and
-    whatever its cost, and the DP keeps the ``BEAM`` least-time states per
-    open window after each step.
+    Windows then lower the peak live set.  The program is the one with the
+    lowest ``peak_elements`` that copies no more than the least-cost one
+    and whose estimated time exceeds the least-cost one's by at most
+    ``WINDOW_SLACK`` of the multiplies in its windows.  Each bound below
+    the least-cost one's is tried by the same DP.  It allows each window
+    that fits its slack with the fewest blocks that hold the bound, and on
+    a span that the least-cost program chunks, every block count that
+    holds it.  A binary search over the candidate bounds finds the lowest
+    that fits.
     """
     if sorted(path) != sorted(shape.nodes):
         raise ValueError("path is not a permutation of the network's qubits")
@@ -599,6 +605,11 @@ def compile_program(
         prod(ext[e] for e in opens[t].union(legs[q])) for t, q in enumerate(path[1:])
     ]
     widest = max((_rank(o, ext) for o in opens[1:]), default=0)
+    # a window's blocks have extent 2 or more, so it keeps every rank
+    narrow = [
+        max(_rank(opens[t], ext), _rank(legs[q], ext)) <= widest
+        for t, q in enumerate(path[1:])
+    ]
     m = len(elements)
     bounded = peak_bound is not None
 
@@ -616,64 +627,82 @@ def compile_program(
     def slack(i: int, j: int) -> float:
         return WINDOW_SLACK * sum(mults[i:j + 1])
 
-    moves: dict = {}
-    # every window, or every one whose extra calls and input read fit its
-    # slack, by (start, stop, axis) with the fewest blocks first
+    def cheap(w: Window) -> bool:
+        """Whether the window's extra calls and input read fit its slack."""
+        calls = CALL * (w.blocks - 1) * (w.stop - w.start + 1)
+        return calls <= slack(w.start, w.stop) - COPY * sizes[w.start]
+
+    # every window by (start, stop, axis), with the fewest blocks first
     spans: dict[tuple, list[Window]] = {}
     for i in range(m):
         for x in sorted(opens[i]):
             for j in range(i, m):
                 if x in legs[path[j + 1]]:
                     break
-                room = slack(i, j) - COPY * sizes[i]
                 spans[i, j, x] = [
                     Window(i, j, x, b)
                     for b in range(2, ext[x] // 2 + 1)
                     if ext[x] % b == 0
-                    and (bounded or CALL * (b - 1) * (j - i + 1) <= room)
                 ]
+    moves: dict = {}
 
-    def within(bound):
-        """The least-cost program whose peak is at most ``bound``."""
+    def within(bound, free=frozenset(), wide=False):
+        """The least-cost program whose peak is at most ``bound``.
+
+        A window on a span in ``free`` is offered with every block count
+        that holds the bound; any other only where it fits its slack, with
+        the fewest blocks that hold it.
+        """
         plain = [e <= bound for e in elements]
-        # a window may serve a step that cannot run unchunked, or, held to
-        # a peak bound, one whose accumulator a copy would not fit beside
-        tight = [e + (sizes[t] if bounded else 0) > bound for t, e in enumerate(elements)]
+        # a window may serve a step that cannot run unchunked, or, when
+        # ``wide``, one whose accumulator a copy would not fit beside
+        tight = [e + (sizes[t] if wide else 0) > bound for t, e in enumerate(elements)]
         starts = [[] for _ in range(m)]
         covered = set()
-        for (i, j, _), ws in spans.items():
+        for span, ws in spans.items():
+            i, j, _ = span
             if any(tight[i:j + 1]):
-                fits = [w for w in ws if peak_of(w) <= bound][:None if bounded else 1]
+                if span in free:
+                    fits = [w for w in ws if peak_of(w) <= bound]
+                else:
+                    fits = [w for w in ws if cheap(w) and peak_of(w) <= bound][:1]
                 starts[i] += fits
                 covered.update(range(i, j + 1) if fits else ())
         if any(not p and t not in covered for t, p in enumerate(plain)):
             return None
         return _search(
-            path, legs, ext, widest, plain, starts, moves,
+            path, legs, ext, narrow, plain, starts, moves,
             lambda t, w: bound - live(t, w), bounded,
         )
 
     if bounded:
-        found = within(peak_bound)
+        # the wide offers cost many more DP states: only where the narrow
+        # ones find no program, as on square 3x3 d12 with qubit 4 layered
+        found = within(peak_bound, spans) or within(peak_bound, spans, wide=True)
         if found is None:
             return None
     else:
         found = within(math.inf)
-        (copied, est), _, _ = found
-        # each live set, alone or beside a staging buffer
-        lives = {*elements, *(peak_of(w) for ws in spans.values() for w in ws)}
-        bounds = sorted({b + extra for b in lives for extra in (0, STAGE)})
-        lo, hi = 0, bounds.index(max(elements)) if m else 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            chunked = within(bounds[mid])
-            # no more copies, and windows that fit their slack
-            if chunked and chunked[0][0] == copied and chunked[0][1] <= est + sum(
-                slack(w.start, w.stop) for w in {w for _, _, w, _, _ in chunked[2] if w}
-            ):
-                found, hi = chunked, mid
-            else:
-                lo = mid + 1
+    (copied, est), _, picked = found
+    kept = frozenset(w[:3] for _, _, w, _, _ in picked if w)
+    offered = (w for span, ws in spans.items() for w in ws if span in kept or cheap(w))
+    # each live set of a step or an offered window, alone or beside a
+    # staging buffer, below the bound; with none, below the largest step,
+    # at which every step runs unchunked
+    lives = {*elements, *map(peak_of, offered)}
+    top = max(elements, default=0) if peak_bound is None else peak_bound
+    bounds = sorted(b for b in {v + extra for v in lives for extra in (0, STAGE)} if b < top)
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        chunked = within(bounds[mid], kept)
+        # no more copies, and windows that fit their slack
+        if chunked and chunked[0][0] == copied and chunked[0][1] <= est + sum(
+            slack(w.start, w.stop) for w in {w for _, _, w, _, _ in chunked[2] if w}
+        ):
+            found, hi = chunked, mid
+        else:
+            lo = mid + 1
 
     (_, est), first, picked = found
     steps = tuple(
@@ -691,7 +720,7 @@ def compile_program(
 
 
 # A qubit is absorbed as its two layer nodes where its merged step costs
-# more than LAYER_RATIO times their two steps.
+# at least LAYER_RATIO times their two steps.
 LAYER_RATIO = 8
 
 
@@ -723,7 +752,7 @@ def _layer_orders(
             ap, bp = (prod(d[e] for e in opened & legs) for d in (a, b))
             af, bf = (prod(d[e] for e in legs - opened) for d in (a, b))
             phi_first, psi_first = 2 * bp * af * (ap + bf), 2 * ap * bf * (bp + af)
-            if ap * bp * af * bf > LAYER_RATIO * min(phi_first, psi_first):
+            if ap * bp * af * bf >= LAYER_RATIO * min(phi_first, psi_first):
                 orders[q] = (q, ~q) if phi_first <= psi_first else (~q, q)
         opened ^= legs
     return orders

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import islice, permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -727,6 +728,15 @@ class TestLayeredRuns:
             ref = amplitude_oracle(self.circuit, "0" * 9, out)
             assert stats.amplitude == pytest.approx(ref, abs=1e-10)
 
+    def test_sliced_square_4x4_d10_matches_the_oracle(self, monkeypatch):
+        # qubits 9 and 10, whose ratios are exactly 8, are layered
+        circuit = generate_rqc(generate_lattice("square", 4, 4), 10, seed=1)
+        for out in ("0" * 16, "0110100110010110"):
+            stats, program = run_with_program(monkeypatch, circuit, out, [(5, 6)])
+            assert program.layered == {9, 10}
+            ref = amplitude_oracle(circuit, "0" * 16, out)
+            assert stats.amplitude == pytest.approx(ref, abs=1e-10)
+
     def test_counted_multiplies_and_ranks_are_the_stats(self, monkeypatch):
         costs, ranks = [], []
         pair = network.contract_pair
@@ -757,30 +767,91 @@ def states_and_path(rows, cols, depth, cuts=()):
     return phi, psi, NetworkShape(shape.nodes, edges), list(plan.path)
 
 
+def layered_setup(rows, cols, depth, cuts=()):
+    """The merged program of square rows x cols at ``depth`` from seed 1,
+    the layer orders ``_compile`` picks on its path, and the layered shape
+    and path it compiles against the merged program's peak."""
+    phi, psi, shape, path = states_and_path(rows, cols, depth, cuts)
+    orders = network._layer_orders(shape, phi, psi, path, tuple(cuts))
+    return (
+        compile_program(shape, path),
+        orders,
+        network._layered_shape(shape, phi, psi, frozenset(orders)),
+        [v for q in path for v in orders.get(q, (q,))],
+    )
+
+
+def step_multiplies(shape: NetworkShape, path: list[int]) -> list[int]:
+    opened, mults = frozenset(), []
+    for t, q in enumerate(path):
+        legs = shape.open_edges((q,))
+        if t:
+            mults.append(prod(shape.edges[e] for e in opened | legs))
+        opened ^= legs
+    return mults
+
+
 class TestLayerChoice:
     """Which qubits a run layers, and the program held to the merged peak."""
 
-    def test_square_4x4_d11_layers_its_three_costliest_steps(self):
-        phi, psi, shape, path = states_and_path(4, 4, 11)
-        orders = network._layer_orders(shape, phi, psi, path, ())
-        # qubit 5's ratio is exactly 8, so it stays merged
-        assert orders == {6: (~6, 6), 9: (9, ~9), 10: (~10, 10)}
-        merged = compile_program(shape, path)
-        layered = compile_program(
-            network._layered_shape(shape, phi, psi, frozenset(orders)),
-            [v for q in path for v in orders.get(q, (q,))],
-            merged.peak_elements,
-        )
-        assert layered.layered == {6, 9, 10}
-        assert layered.peak_elements <= merged.peak_elements
+    def test_square_4x4_d11_layers_its_four_costliest_steps(self):
+        merged, orders, shape, path = layered_setup(4, 4, 11)
+        # qubit 5's ratio is exactly 8, the others' 10.7-12.8
+        assert orders == {5: (5, ~5), 6: (~6, 6), 9: (9, ~9), 10: (~10, 10)}
+        layered = compile_program(shape, path, merged.peak_elements)
+        assert layered.layered == {5, 6, 9, 10}
+        # the peak of the program that layered 6, 9 and 10 only
+        assert layered.peak_elements <= 4_198_400
         assert layered.windows
         assert layered.time < merged.time
-        assert layered.multiplies < merged.multiplies / 4
+        assert layered.multiplies < merged.multiplies / 5
 
-    def test_sliced_square_4x4_d10_stays_merged(self):
-        # qubits 9 and 10 have ratio exactly 8
-        phi, psi, shape, path = states_and_path(4, 4, 10, [(5, 6)])
-        assert network._layer_orders(shape, phi, psi, path, ((5, 6),)) == {}
+    def test_sliced_square_4x4_d10_layers_qubits_9_and_10(self):
+        merged, orders, shape, path = layered_setup(4, 4, 10, [(5, 6)])
+        # both ratios are exactly 8
+        assert orders == {9: (9, ~9), 10: (~10, 10)}
+        layered = compile_program(shape, path, merged.peak_elements)
+        assert merged.peak_elements == 786_944
+        assert layered.layered == {9, 10}
+        assert layered.peak_elements <= merged.peak_elements
+        assert layered.time < merged.time
+        assert layered.multiplies < merged.multiplies / 3
+
+    def test_bounded_compile_returns_the_least_peak_within_its_slack(self, monkeypatch):
+        merged, _, shape, path = layered_setup(4, 4, 11)
+        times = []
+        search = network._search
+
+        def recorded(*args):
+            found = search(*args)
+            times.append(found and found[0][1])
+            return found
+
+        monkeypatch.setattr(network, "_search", recorded)
+        program = compile_program(shape, path, merged.peak_elements)
+        # the first search is the least-time one within the merged peak
+        fastest = times[0]
+        mults = step_multiplies(shape, path)
+
+        def slack(p) -> float:
+            return network.WINDOW_SLACK * sum(
+                sum(mults[w.start:w.stop + 1]) for w in p.windows
+            )
+
+        assert program.time <= fastest + slack(program)
+        lower = compile_program(shape, path, program.peak_elements - 1)
+        assert lower is None or lower.time > fastest + slack(lower)
+
+    def test_sliced_layered_compile_makes_few_moves(self, monkeypatch):
+        merged, _, shape, path = layered_setup(4, 4, 10, [(5, 6)])
+        calls = []
+        moves = network._moves
+        monkeypatch.setattr(
+            network, "_moves", lambda *args: calls.append(args) or moves(*args)
+        )
+        assert compile_program(shape, path, merged.peak_elements) is not None
+        # 2,300 when every window that holds the bound was offered
+        assert len(calls) <= 500
 
     def test_no_program_within_a_bound_too_small(self):
         phi, psi, shape, path = states_and_path(3, 3, 12)
