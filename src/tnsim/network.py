@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
@@ -368,12 +369,14 @@ class Step:
     """Absorb ``node``, its axes in the order ``labels``, into the
     accumulator through ``contract_pair``; the node is the first operand
     when ``node_first``.  ``elements`` is the step's live set unchunked:
-    accumulator + node + result elements."""
+    accumulator + node + result elements, of which ``size`` are the
+    result's."""
 
     node: int
     labels: tuple[Edge, ...]
     node_first: bool
     elements: int
+    size: int
 
 
 class Window(NamedTuple):
@@ -405,6 +408,12 @@ class ContractionProgram:
     output and all its nodes, plus one block of the step's accumulator, one
     of its result and the block it transposes, and the buffer.  ``time``
     is the compiler's estimate of the run time, in multiplies.
+
+    ``workspace`` is the size of the one array a run writes every result
+    into (``contract_along_path``): the largest share of a live set held
+    there, which is all of it but the nodes, the first node and what a
+    step copies.  A staged step copies through the room its share leaves
+    when that holds its buffer.
     """
 
     first: int
@@ -416,6 +425,7 @@ class ContractionProgram:
     copied: int
     peak_elements: int
     time: int
+    workspace: int
 
     @property
     def layered(self) -> frozenset[int]:
@@ -624,6 +634,15 @@ def compile_program(
     def peak_of(w: Window) -> int:
         return max(live(k, w) for k in range(w.start, w.stop + 1))
 
+    def share(t: int, w: Window | None) -> int:
+        """Step ``t``'s results in the workspace: its input and result, or
+        in ``w`` the window's input and output and one block of each; the
+        first node is not among them."""
+        if w is None:
+            return (sizes[t] if t else 0) + sizes[t + 1]
+        i, j = w.start, w.stop
+        return (sizes[i] if i else 0) + sizes[j + 1] + (sizes[t] + sizes[t + 1]) // w.blocks
+
     def slack(i: int, j: int) -> float:
         return WINDOW_SLACK * sum(mults[i:j + 1])
 
@@ -706,8 +725,8 @@ def compile_program(
 
     (_, est), first, picked = found
     steps = tuple(
-        Step(q, labels, node_first, e)
-        for q, (labels, node_first, *_), e in zip(path[1:], picked, elements)
+        Step(q, labels, node_first, e, size)
+        for q, (labels, node_first, *_), e, size in zip(path[1:], picked, elements, sizes[1:])
     )
     chosen = tuple(dict.fromkeys(w for _, _, w, _, _ in picked if w))
     return ContractionProgram(
@@ -716,6 +735,7 @@ def compile_program(
         sum(c * (w.blocks if w else 1) for _, _, w, c, _ in picked),
         max((live(t, w) + h for t, (*_, w, _, h) in enumerate(picked)), default=sizes[0]),
         est,
+        max((share(t, w) for t, (*_, w, _, _) in enumerate(picked)), default=0),
     )
 
 
@@ -777,6 +797,14 @@ def _layered_shape(
     return NetworkShape(shape.nodes + tuple(~q for q in sorted(layered)), edges)
 
 
+# The programs ``_compile`` returned last in this process, by every input
+# it reads: a circuit's amplitudes share their cuts, path and bond extents,
+# whatever their out-strings, and so one program.
+PROGRAMS = 8
+_programs: dict[tuple, ContractionProgram] = {}
+_programs_lock = threading.Lock()
+
+
 def _compile(
     shape: NetworkShape,
     phi: TNSState,
@@ -786,7 +814,32 @@ def _compile(
 ) -> ContractionProgram:
     """The merged program of ``path`` on the slice shape ``shape``, or the
     program that layers the qubits ``_layer_orders`` picks when it fits
-    the merged program's peak and its estimated time is lower."""
+    the merged program's peak and its estimated time is lower.
+
+    Memoised on the shape's nodes and extents, the path, the cut edges and
+    both states' bond extents, for the ``PROGRAMS`` most recently used."""
+    key = (
+        shape.nodes, tuple(shape.edges.items()), tuple(path), cut_edges,
+        tuple(phi.bond_dims.items()), tuple(psi.bond_dims.items()),
+    )
+    with _programs_lock:
+        program = _programs.pop(key, None)
+    if program is None:
+        program = _compile_afresh(shape, phi, psi, path, cut_edges)
+    with _programs_lock:
+        _programs[key] = program
+        while len(_programs) > PROGRAMS:
+            del _programs[next(iter(_programs))]
+    return program
+
+
+def _compile_afresh(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+) -> ContractionProgram:
     program = compile_program(shape, path)
     orders = _layer_orders(shape, phi, psi, path, cut_edges)
     if not orders:
@@ -796,43 +849,73 @@ def _compile(
         [v for q in path for v in orders.get(q, (q,))],
         program.peak_elements,
     )
-    # the DP's freed tuples stay on CPython's free lists (about 1 MB on
-    # square 3x3 d12) until a full collection: release them before the
-    # contraction allocates
-    gc.collect()
     if layered is None or layered.time >= program.time:
         return program
     return layered
 
 
-def _absorb(acc: Tensor, node: Tensor, step: Step) -> Tensor:
+def _absorb(acc: Tensor, node: Tensor, step: Step, out: np.ndarray, scratch: np.ndarray) -> Tensor:
     pairs = [(acc.axis(lab), i) for i, lab in enumerate(step.labels)
              if lab in acc.labels]
     if step.node_first:
-        return contract_pair(node, acc, [(j, i) for i, j in pairs])
-    return contract_pair(acc, node, pairs)
+        return contract_pair(node, acc, [(j, i) for i, j in pairs], out=out, scratch=scratch)
+    return contract_pair(acc, node, pairs, out=out, scratch=scratch)
 
 
-def _run_window(acc: Tensor, net, steps, window: Window) -> Tensor:
+def _split(space: np.ndarray, n: int, high: bool, held: int) -> tuple[np.ndarray, np.ndarray]:
+    """``space`` with ``held`` elements taken at one end: the ``n`` at its
+    other end, the high one when ``high``, and the room between."""
+    if high:
+        return space[len(space) - n:], space[held:len(space) - n]
+    return space[:n], space[n:len(space) - held]
+
+
+def _run_window(
+    acc: Tensor, high: bool | None, net, steps, window: Window, workspace: np.ndarray
+) -> Tensor:
     """The window's steps run on each block of ``acc``'s window axis, moved
     to the front: a view when it leads ``acc``, else a copy of the block.
     Their nodes are read from ``net`` once and held for the whole window.
-    Each block's result goes into its place in one output array."""
+
+    ``acc`` sits at the high end of ``workspace`` when ``high``, at its low
+    end when not, and outside it when None.  The window's output goes to
+    the other end (the high one for an input outside), and each block's
+    intermediates alternate between the two ends of the room between; the
+    last is copied into its place in the output."""
     nodes = [net.node(step.node, step.labels) for step in steps]
     data = np.moveaxis(acc.data, acc.axis(window.axis), 0)
     labels = (window.axis,) + tuple(e for e in acc.labels if e != window.axis)
     size = len(data) // window.blocks
-    out = None
+    held = 0 if high is None else acc.data.size
+    out, room = _split(workspace, steps[-1].size, not high, held)
+    result = None
     for start in range(0, len(data), size):
-        block = Tensor(data[start:start + size], labels)
+        part = data[start:start + size]
+        if part.flags["C_CONTIGUOUS"]:
+            block, at = Tensor(part, labels), None
+        else:
+            copy = room[:part.size].reshape(part.shape)
+            copy[...] = part
+            block, at = Tensor(copy, labels), False
         for step, node in zip(steps, nodes):
-            block = _absorb(block, node, step)
+            held = 0 if at is None else block.data.size
+            at = not at
+            block = _absorb(block, node, step, *_split(room, step.size // window.blocks, at, held))
         axis = block.axis(window.axis)
-        if out is None:
-            dims = block.dims[:axis] + (len(data),) + block.dims[axis + 1:]
-            out = np.empty(dims, dtype=block.data.dtype)
-        out[(slice(None),) * axis + (slice(start, start + size),)] = block.data
-    return Tensor(out, block.labels)
+        if result is None:
+            result = out.reshape(block.dims[:axis] + (len(data),) + block.dims[axis + 1:])
+        result[(slice(None),) * axis + (slice(start, start + size),)] = block.data
+    return Tensor(result, block.labels)
+
+
+class _Workspace(threading.local):
+    """The workspace ``compute_amplitude`` allocates for one amplitude in
+    this thread, which each of its slices' ``contract_along_path`` reuses."""
+
+    array: np.ndarray | None = None
+
+
+_workspace = _Workspace()
 
 
 def contract_along_path(
@@ -845,19 +928,32 @@ def contract_along_path(
     windows is one ``contract_pair`` call.  A window's steps run once per
     block, so make one call per step per block, each on block-sized
     intermediates.
+
+    Every result is written into one workspace of ``program.workspace``
+    elements: the one ``compute_amplitude`` holds for the amplitude, else
+    one allocated for this call.  A step's result goes to the end of it
+    opposite its input, and a staged step copies through the room between
+    when that holds its buffer; the first node sits outside it.
     """
+    workspace = _workspace.array
+    if workspace is None or len(workspace) < program.workspace:
+        workspace = np.empty(program.workspace, dtype=np.complex128)
     acc = net.node(program.first, program.labels)
+    high = None  # where acc sits in the workspace; None: outside it
     windows = {w.start: w for w in program.windows}
     t = 0
     while t < len(program.steps):
         w = windows.get(t)
         if w:
-            acc = _run_window(acc, net, program.steps[t:w.stop + 1], w)
+            acc = _run_window(acc, high, net, program.steps[t:w.stop + 1], w, workspace)
             t = w.stop + 1
         else:
             step = program.steps[t]
-            acc = _absorb(acc, net.node(step.node, step.labels), step)
+            node = net.node(step.node, step.labels)
+            held = 0 if high is None else acc.data.size
+            acc = _absorb(acc, node, step, *_split(workspace, step.size, not high, held))
             t += 1
+        high = not high
     return acc.scalar()
 
 
@@ -910,10 +1006,12 @@ def compute_amplitude(
     two states -> the overlap network's shape -> cut plan, whose one path
     search on slice 0 is reused for every slice -> that path compiled once
     into a program, layering its costliest qubit steps where that pays
-    (``_compile``) -> sum of the slices' scalars.  Only then is a node
-    built: with no cuts, each when its step reads it; with cuts, all up
-    front in qubit order, so each slice indexes them.  ``cuts`` is "auto",
-    None (no cuts) or a list of edges.
+    (``_compile``, or the program an earlier amplitude of the same shape
+    compiled) -> sum of the slices' scalars, every slice's results written
+    into one workspace.  Only then is a node built: with no cuts, each when
+    its step reads it; with cuts, all up front in qubit order, so each
+    slice indexes them.  ``cuts`` is "auto", None (no cuts) or a list of
+    edges.
 
     ``path_score`` is the program's multiplies per slice, the search's
     score unless a qubit is layered.
@@ -930,10 +1028,21 @@ def compute_amplitude(
         net = StateOverlap(phi, psi, program.layered)
     else:
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
-    total = sum(
-        contract_along_path(slice_network(net, plan, s), program)
-        for s in range(plan.slice_count)
-    )
+    # dead cycles (the DP's tuples after a compile, about 1 MB on square
+    # 3x3 d12; a CLI call's argument parser) hold heap memory until a full
+    # collection, and a large workspace goes above them: without this, peak
+    # RSS rose by 0.6 MB over 40 sliced-sq16-d10 amplitudes in one process.
+    # A collection takes 7 ms or more, so small workspaces go without.
+    if program.workspace > STAGE:
+        gc.collect()
+    _workspace.array = np.empty(program.workspace, dtype=np.complex128)
+    try:
+        total = sum(
+            contract_along_path(slice_network(net, plan, s), program)
+            for s in range(plan.slice_count)
+        )
+    finally:
+        _workspace.array = None
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
         total,

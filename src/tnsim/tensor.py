@@ -270,17 +270,28 @@ def _plan_gemm(dims_a, dims_b, pairs) -> Gemm:
     return g
 
 
-def _run_staged(block: np.ndarray, axes: list[int], m: np.ndarray, g: Gemm) -> np.ndarray:
+def _run_staged(
+    block: np.ndarray,
+    axes: list[int],
+    m: np.ndarray,
+    g: Gemm,
+    out: np.ndarray,
+    scratch: np.ndarray | None,
+) -> None:
     """The staged plan ``g`` of ``block``, whose paired axes are ``axes``
-    (ascending), times the (K, N) matrix ``m``: (P, N) when the block is
-    ``a``, (N, P) when it is ``b``.  Each chunk of rows is copied into one
-    buffer with the paired axes last, then multiplied straight into its
-    rows of the result."""
+    (ascending), times the (K, N) matrix ``m``, written into ``out``: (P, N)
+    when the block is ``a``, (N, P) when it is ``b``.  Each chunk of rows is
+    copied into one buffer with the paired axes last, then multiplied
+    straight into its rows of the result.  The buffer is the start of
+    ``scratch`` when that holds it, else allocated for this call."""
     free = [i for i in range(block.ndim) if i not in axes]
     dims = [block.shape[i] for i in free]
     i, t = _chunking(dims, g.k)
-    out = np.empty((g.p, g.n) if g.block_is_a else (g.n, g.p), dtype=block.dtype)
-    buf = np.empty(g.stage * g.k, dtype=block.dtype)  # per call: calls may be concurrent
+    need = g.stage * g.k
+    if scratch is not None and len(scratch) >= need:
+        buf = scratch[:need]
+    else:
+        buf = np.empty(need, dtype=block.dtype)
     # the paired axes that end the block are contiguous in it and in the
     # buffer, so each run of them is copied as one item
     tail = 0
@@ -303,40 +314,77 @@ def _run_staged(block: np.ndarray, axes: list[int], m: np.ndarray, g: Gemm) -> n
             else:
                 np.matmul(m.T, chunk.T, out=out[:, row:row + rows])
             row += rows
-    return out
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, g: Gemm, axes: list[int]) -> np.ndarray:
-    """``a`` contracted with ``b`` as ``g`` plans it, flat in result order:
-    [P, S, N] when ``a`` is the block, [N, P, S] when ``b`` is.  ``axes``
-    are the block's paired axes, ascending."""
+def _matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    g: Gemm,
+    axes: list[int],
+    out: np.ndarray,
+    scratch: np.ndarray | None,
+) -> None:
+    """``a`` contracted with ``b`` as ``g`` plans it, written into the flat
+    ``out`` in result order: [P, S, N] when ``a`` is the block, [N, P, S]
+    when ``b`` is.  ``axes`` are the block's paired axes, ascending; a
+    staged plan may copy through ``scratch``."""
     block, other = (a, b) if g.block_is_a else (b, a)
     # a view unless the paired axes neither lead nor trail
     m = other.transpose(g.matrix_axes).reshape(g.k, g.n)
     if g.stage:
-        return _run_staged(block, axes, m, g)
-    if g.block_is_a:
+        shape = (g.p, g.n) if g.block_is_a else (g.n, g.p)
+        _run_staged(block, axes, m, g, out.reshape(shape), scratch)
+    elif g.block_is_a:
         if g.s == 1:
-            return block.reshape(g.p, g.k) @ m
-        if g.p == 1:
-            return block.reshape(g.k, g.s).T @ m
-        return np.matmul(block.reshape(g.p, g.k, g.s).transpose(0, 2, 1), m)
-    if g.s == 1:
-        return m.T @ block.reshape(g.p, g.k).T
-    if g.p == 1:
-        return m.T @ block.reshape(g.k, g.s)
-    out = np.empty((g.n, g.p, g.s), dtype=np.result_type(a, b))
-    np.matmul(m.T, block.reshape(g.p, g.k, g.s), out=out.transpose(1, 0, 2))
-    return out
+            np.matmul(block.reshape(g.p, g.k), m, out=out.reshape(g.p, g.n))
+        elif g.p == 1:
+            np.matmul(block.reshape(g.k, g.s).T, m, out=out.reshape(g.s, g.n))
+        else:
+            np.matmul(
+                block.reshape(g.p, g.k, g.s).transpose(0, 2, 1), m,
+                out=out.reshape(g.p, g.s, g.n),
+            )
+    elif g.s == 1:
+        np.matmul(m.T, block.reshape(g.p, g.k).T, out=out.reshape(g.n, g.p))
+    elif g.p == 1:
+        np.matmul(m.T, block.reshape(g.k, g.s), out=out.reshape(g.n, g.s))
+    else:
+        np.matmul(
+            m.T, block.reshape(g.p, g.k, g.s),
+            out=out.reshape(g.n, g.p, g.s).transpose(1, 0, 2),
+        )
+
+
+def _check_flat(name: str, arr, *others: np.ndarray) -> None:
+    """Raise unless ``arr`` is a 1-D C-contiguous complex128 array that
+    shares no memory with any of ``others``."""
+    if not (
+        isinstance(arr, np.ndarray) and arr.ndim == 1
+        and arr.dtype == np.complex128 and arr.flags["C_CONTIGUOUS"]
+    ):
+        raise TensorError(f"{name} must be a 1-D C-contiguous complex128 array")
+    if any(np.may_share_memory(arr, other) for other in others):
+        raise TensorError(f"{name} shares memory with an operand or out")
 
 
 def contract_pair(
-    a: Tensor, b: Tensor, pairs: Sequence[tuple[int, int]]
+    a: Tensor,
+    b: Tensor,
+    pairs: Sequence[tuple[int, int]],
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> Tensor:
     """Contract the paired axes of ``a`` and ``b``.
 
     The result carries the unpaired axes of ``a`` followed by the unpaired
-    axes of ``b``, labels carried over from the inputs.
+    axes of ``b``, labels carried over from the inputs.  Given ``out``, a
+    flat C-contiguous complex128 array that shares no memory with ``a`` or
+    ``b``, the result is written into its first elements and is a view of
+    them; else it is allocated.  A staged step copies through the start of
+    ``scratch``, an array of the same kind that shares no memory with
+    ``out`` either, when that holds its buffer; else through one it
+    allocates.
 
     Copy-free rule: when the paired axes of the larger operand form one
     contiguous run, so that it reads as a (P, K, S) block, that operand is
@@ -357,9 +405,19 @@ def contract_pair(
     free_b = [i for i in range(b.rank) if i not in axes_b]
     g = plan_gemm(a.dims, b.dims, pairs)
     dims = [a.dims[i] for i in free_a] + [b.dims[i] for i in free_b]
-    out = _matmul(a.data, b.data, g, sorted(axes_a if g.block_is_a else axes_b))
+    size = prod(dims)
+    if out is None:
+        out = np.empty(size, dtype=np.complex128)
+    else:
+        _check_flat("out", out, a.data, b.data)
+        if len(out) < size:
+            raise TensorError(f"out holds {len(out)} elements, the result {size}")
+    if scratch is not None:
+        _check_flat("scratch", scratch, a.data, b.data, out)
+    axes = sorted(axes_a if g.block_is_a else axes_b)
+    _matmul(a.data, b.data, g, axes, out[:size], scratch)
     labels = tuple(a.labels[i] for i in free_a) + tuple(b.labels[i] for i in free_b)
-    return Tensor(out.reshape(dims), labels)
+    return Tensor(out[:size].reshape(dims), labels)
 
 
 def svd_factorize(

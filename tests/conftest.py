@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from tnsim import network
 from tnsim.circuit import CircuitGraph, edge_key
 from tnsim.pathfind import NetworkShape
 
@@ -39,3 +40,10 @@ def rnd():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def fresh_programs():
+    """Each test compiles its own programs, so a test that patches the
+    compiler's constants never runs one compiled before."""
+    network._programs.clear()

@@ -471,7 +471,8 @@ class TestContractionProgram:
         calls = []
         pair = network.contract_pair
         monkeypatch.setattr(
-            network, "contract_pair", lambda *args: calls.append(args) or pair(*args)
+            network, "contract_pair",
+            lambda *args, **kwargs: calls.append(args) or pair(*args, **kwargs),
         )
         contract_along_path(net, program)
         assert len(calls) == len(program.steps) == len(net.tensors) - 1
@@ -533,7 +534,8 @@ class TestWindows:
         calls = []
         pair = network.contract_pair
         monkeypatch.setattr(
-            network, "contract_pair", lambda *args: calls.append(args) or pair(*args)
+            network, "contract_pair",
+            lambda *args, **kwargs: calls.append(args) or pair(*args, **kwargs),
         )
         value = contract_along_path(net, chunked)
         assert len(calls) == len(chunked.steps) + sum(
@@ -741,8 +743,8 @@ class TestLayeredRuns:
         costs, ranks = [], []
         pair = network.contract_pair
 
-        def counted(a, b, pairs):
-            out = pair(a, b, pairs)
+        def counted(a, b, pairs, **kwargs):
+            out = pair(a, b, pairs, **kwargs)
             costs.append(contraction_cost(a.dims, b.dims, pairs))
             ranks.extend((nrank(a), nrank(b), nrank(out)))
             return out
@@ -856,3 +858,86 @@ class TestLayerChoice:
     def test_no_program_within_a_bound_too_small(self):
         phi, psi, shape, path = states_and_path(3, 3, 12)
         assert compile_program(shape, path, peak_bound=0) is None
+
+
+def compile_calls(monkeypatch) -> list:
+    calls = []
+    compile_ = network.compile_program
+    monkeypatch.setattr(
+        network, "compile_program",
+        lambda *args, **kwargs: calls.append(args) or compile_(*args, **kwargs),
+    )
+    return calls
+
+
+class TestProgramCache:
+    """A circuit's amplitudes share their program: it is compiled once per
+    process for each slice shape, path, cut set and pair of bond extents."""
+
+    circuit = TestLayeredRuns.circuit
+
+    @pytest.mark.parametrize("cuts", [None, [(0, 1)]], ids=["uncut", "cut-0-1"])
+    def test_second_amplitude_compiles_nothing(self, monkeypatch, cuts):
+        calls = compile_calls(monkeypatch)
+        compute_amplitude(self.circuit, "0" * 9, "010101010", cuts=cuts)
+        assert len(calls) == 2  # merged, then with qubit 4 layered
+        cached = compute_amplitude(self.circuit, "0" * 9, "110010011", cuts=cuts)
+        assert len(calls) == 2
+        network._programs.clear()
+        fresh = compute_amplitude(self.circuit, "0" * 9, "110010011", cuts=cuts)
+        assert len(calls) == 4
+        assert cached.record(timing=False) == fresh.record(timing=False)
+
+    def test_other_extents_miss(self, monkeypatch):
+        calls = compile_calls(monkeypatch)
+        compute_amplitude(self.circuit, "0" * 9, "010101010")
+        compiled = len(calls)
+        shallower = generate_rqc(generate_lattice("square", 3, 3), 11, seed=1)
+        shapes = [overlap_shape(*overlap_states(c, "0" * 9, "010101010"))
+                  for c in (self.circuit, shallower)]
+        assert shapes[0].nodes == shapes[1].nodes and shapes[0].edges != shapes[1].edges
+        compute_amplitude(shallower, "0" * 9, "010101010")
+        assert len(calls) > compiled
+
+    def test_least_recently_used_program_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(network, "PROGRAMS", 1)
+        calls = compile_calls(monkeypatch)
+        c = generate_rqc(generate_lattice("square", 3, 3), 4, seed=1)
+        for cuts in (None, None, [(0, 1)], None):
+            compute_amplitude(c, "0" * 9, "010101010", cuts=cuts)
+        assert len(calls) == 3
+        assert len(network._programs) == 1
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    return a if a.base is None else owner(a.base)
+
+
+class TestWorkspace:
+    """Every result of an amplitude is written into one workspace, which
+    ``compute_amplitude`` allocates once and every slice reuses."""
+
+    circuit = TestLayeredRuns.circuit
+
+    @pytest.mark.parametrize("cuts", [None, [(0, 1)]], ids=["uncut", "cut-0-1"])
+    def test_every_result_in_one_workspace_per_amplitude(self, monkeypatch, cuts):
+        results = []
+        pair = network.contract_pair
+        monkeypatch.setattr(
+            network, "contract_pair",
+            lambda *args, **kwargs: results.append(pair(*args, **kwargs)) or results[-1],
+        )
+        workspaces = []
+        for out in ("010101010", "110010011"):
+            results.clear()
+            stats, program = run_with_program(monkeypatch, self.circuit, out, cuts)
+            assert program.layered == {4}
+            assert bool(program.windows) == (cuts is None)
+            assert (stats.slice_count > 1) == (cuts is not None)
+            owners = {id(owner(r.data)): owner(r.data) for r in results}
+            (workspace,) = owners.values()
+            assert workspace.size == program.workspace
+            assert all(np.shares_memory(r.data, workspace) for r in results)
+            workspaces.append(workspace)
+        assert workspaces[0] is not workspaces[1]
+        assert network._workspace.array is None

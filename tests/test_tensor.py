@@ -368,3 +368,105 @@ class TestTensorInvariants:
         t = Tensor(np.arange(6).reshape(2, 3))
         assert t.data.flags["C_CONTIGUOUS"]
         assert t.data[1, 0] == 3
+
+
+# (a dims, b dims, pairs): one per in-place branch with a as the block,
+# then a split run, which is staged; swapping the operands makes b the block
+OUT_CASES = {
+    "s-is-1": ((4, 3, 5), (5, 6), [(2, 0)]),
+    "p-is-1": ((5, 4, 3), (5, 6), [(0, 0)]),
+    "batch": ((4, 64, 32), (64, 8), [(1, 0)]),
+    "staged": ((2, 3, 4, 3), (2, 4, 2), [(0, 0), (2, 1)]),
+}
+
+
+class TestContractPairOut:
+    """``out=``: the result written into a given flat array."""
+
+    @pytest.mark.parametrize("block_first", [True, False], ids=["block-a", "block-b"])
+    @pytest.mark.parametrize("case", OUT_CASES)
+    def test_result_is_the_allocated_one_in_out(self, rng, case, block_first):
+        dims_a, dims_b, pairs = OUT_CASES[case]
+        a, b = labelled(crandn(rng, *dims_a), "a"), labelled(crandn(rng, *dims_b), "b")
+        if not block_first:
+            a, b, pairs = b, a, [(j, i) for i, j in pairs]
+        g = plan_gemm(a.dims, b.dims, pairs)
+        assert g.block_is_a == block_first
+        assert bool(g.stage) == (case == "staged")
+        assert (g.p == 1, g.s == 1, g.batches > 1) == (
+            case == "p-is-1", case in ("s-is-1", "staged"), case == "batch"
+        )
+        expected = contract_pair(a, b, pairs)
+        out = np.full(expected.data.size + 3, np.nan, dtype=complex)
+        result = contract_pair(a, b, pairs, out=out)
+        assert result.labels == expected.labels
+        np.testing.assert_array_equal(result.data, expected.data)
+        assert np.shares_memory(result.data, out)
+        assert np.isnan(out[expected.data.size:]).all()
+
+    @pytest.mark.parametrize("block_first", [True, False], ids=["block-a", "block-b"])
+    def test_staged_chunks_write_their_rows_of_out(self, rng, stage, block_first):
+        # 15 rows in 3 chunks of 6 (K = 6)
+        stage(36)
+        a, b = labelled(crandn(rng, 2, 5, 3, 3), "l"), labelled(crandn(rng, 3, 4, 2), "s")
+        pairs = [(0, 2), (3, 0)]
+        if not block_first:
+            a, b, pairs = b, a, [(j, i) for i, j in pairs]
+        assert plan_gemm(a.dims, b.dims, pairs).chunks == 3
+        expected = contract_pair(a, b, pairs)
+        out = np.empty(expected.data.size, dtype=complex)
+        result = contract_pair(a, b, pairs, out=out)
+        np.testing.assert_array_equal(result.data, expected.data)
+        assert np.shares_memory(result.data, out)
+
+    def test_staged_step_copies_through_scratch_that_holds_its_buffer(self, rng):
+        dims_a, dims_b, pairs = OUT_CASES["staged"]
+        a, b = labelled(crandn(rng, *dims_a), "a"), labelled(crandn(rng, *dims_b), "b")
+        g = plan_gemm(a.dims, b.dims, pairs)
+        expected = contract_pair(a, b, pairs)
+        for room, used in ((g.stage * g.k + 5, True), (g.stage * g.k - 1, False)):
+            scratch = np.full(room, np.nan, dtype=complex)
+            out = np.empty(expected.data.size, dtype=complex)
+            result = contract_pair(a, b, pairs, out=out, scratch=scratch)
+            np.testing.assert_array_equal(result.data, expected.data)
+            # every element of the buffer is written when it is used
+            assert np.isnan(scratch[:g.stage * g.k]).any() != used
+            assert np.isnan(scratch[g.stage * g.k:]).all()
+
+    def test_bad_scratch_rejected(self, rng):
+        a, b = labelled(crandn(rng, 2, 3, 4, 3), "a"), labelled(crandn(rng, 2, 4, 2), "b")
+        pairs = [(0, 0), (2, 1)]  # staged, an 18-element result
+        mem = np.empty(100, dtype=complex)
+        for scratch in (np.empty(100, dtype=np.complex64), np.empty((10, 10), dtype=complex),
+                        mem[10:40], a.data.reshape(-1)):
+            with pytest.raises(TensorError):
+                contract_pair(a, b, pairs, out=mem[:18], scratch=scratch)
+
+    @pytest.mark.parametrize("why", [
+        "not an array", "2-D", "strided", "complex64", "float64", "too small",
+        "a's memory", "b's memory",
+    ])
+    def test_bad_out_rejected(self, rng, why):
+        # a (60 elements) and b (30) sit in one array, with room between
+        mem = crandn(rng, 200)
+        a, b = labelled(mem[:60].reshape(4, 3, 5), "a"), labelled(mem[170:].reshape(5, 6), "b")
+        pairs = [(2, 0)]  # a 72-element result
+        out = {
+            "not an array": lambda: [0j] * 72,
+            "2-D": lambda: np.empty((8, 9), dtype=complex),
+            "strided": lambda: np.empty(144, dtype=complex)[::2],
+            "complex64": lambda: np.empty(72, dtype=np.complex64),
+            "float64": lambda: np.empty(144),
+            "too small": lambda: np.empty(71, dtype=complex),
+            "a's memory": lambda: mem[59:131],
+            "b's memory": lambda: mem[99:171],
+        }[why]()
+        with pytest.raises(TensorError):
+            contract_pair(a, b, pairs, out=out)
+        # the room between them is fine
+        assert np.shares_memory(contract_pair(a, b, pairs, out=mem[60:170]).data, mem)
+
+    def test_out_is_keyword_only(self, rng):
+        a, b = labelled(crandn(rng, 4, 3, 5), "a"), labelled(crandn(rng, 5, 6), "b")
+        with pytest.raises(TypeError):
+            contract_pair(a, b, [(2, 0)], np.empty(72, dtype=complex))
