@@ -798,8 +798,9 @@ def _layered_shape(
 
 
 # The programs ``_compile`` returned last in this process, by every input
-# it reads: a circuit's amplitudes share their cuts, path and bond extents,
-# whatever their out-strings, and so one program.
+# it reads but the physical extents, which are 2 on every qubit: a
+# circuit's amplitudes share their cuts, path and bond extents, whatever
+# their out-strings, and so one program.
 PROGRAMS = 8
 _programs: dict[tuple, ContractionProgram] = {}
 _programs_lock = threading.Lock()
