@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from itertools import islice, permutations
 from math import prod
@@ -941,3 +943,33 @@ class TestWorkspace:
             workspaces.append(workspace)
         assert workspaces[0] is not workspaces[1]
         assert network._workspace.array is None
+
+    def test_threads_keep_their_own_workspace_and_programs(self, monkeypatch):
+        # more threads than cores, each alternating two shapes through a
+        # one-program cache: a shared workspace or a lost cache update
+        # would change an amplitude or raise
+        monkeypatch.setattr(network, "PROGRAMS", 1)
+        jobs = [(self.circuit, None), (self.circuit, [(0, 1)]),
+                (generate_rqc(generate_lattice("square", 3, 3), 6, seed=2), None)]
+        expected = [compute_amplitude(c, "0" * 9, "010101010", cuts=k).amplitude for c, k in jobs]
+        failures = []
+
+        def work(offset):
+            for i in range(6):
+                c, k = jobs[(i + offset) % len(jobs)]
+                got = compute_amplitude(c, "0" * 9, "010101010", cuts=k).amplitude
+                if got != expected[(i + offset) % len(jobs)]:
+                    failures.append((offset, i, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
