@@ -955,7 +955,7 @@ class TestWorkspace:
         failures = []
 
         def work(offset):
-            for i in range(6):
+            for i in range(3):
                 c, k = jobs[(i + offset) % len(jobs)]
                 got = compute_amplitude(c, "0" * 9, "010101010", cuts=k).amplitude
                 if got != expected[(i + offset) % len(jobs)]:
