@@ -9,6 +9,7 @@ line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,7 +195,11 @@ def _cmd_estimate_workload(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: its objects form reference
+    cycles that only a full collection frees, so a process that calls
+    ``main`` in a loop would otherwise gather one parser per call."""
     parser = argparse.ArgumentParser(
         prog="tnsim",
         description="Single-amplitude random-quantum-circuit simulator on "
@@ -278,7 +283,7 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

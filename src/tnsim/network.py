@@ -43,6 +43,7 @@ from .tns import PHYS, TNSState, two_sided_evolve
 __all__ = [
     "TensorNetwork",
     "StateOverlap",
+    "CutOverlap",
     "CutPlan",
     "CutPlanError",
     "overlap_states",
@@ -151,23 +152,36 @@ class StateOverlap:
     def __post_init__(self) -> None:
         _common_graph(self.phi, self.psi)
 
-    def node(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
+    def node(
+        self, q: int, labels: tuple[Edge, ...], values: dict[Edge, int] | None = None
+    ) -> Tensor:
         """Node ``q`` with its axes in the order ``labels``.  A merged node
         is phi_q . psi_q* over the physical axis: one product, then one copy
-        into that order."""
+        into that order.
+
+        ``values`` fixes cut edges of a merged node to one value each, and
+        their axes are gone from the node.  Each is indexed before the
+        product: value v is phi's index v // b and psi's index v % b, with
+        b psi's extent on the edge, as the merged axis orders them."""
         if q < 0 or q in self.layered:
             t = self.psi.tensors[~q] if q < 0 else self.phi.tensors[q]
             data = t.data.transpose([t.axis(_state_label(lab)) for lab in labels])
             return Tensor(data.conj() if q < 0 else data, labels)
         a, b = self.phi.tensors[q], self.psi.tensors[q]
-        t = np.tensordot(a.data, b.data.conj(), axes=([0], [0]))
+        da, db, la, lb = a.data, b.data, a.labels, b.labels
+        if values:
+            fixed = {e: divmod(values[e], b.dims[b.axis(e)]) for e in la if e in values}
+            da = da[tuple(fixed[e][0] if e in fixed else slice(None) for e in la)]
+            db = db[tuple(fixed[e][1] if e in fixed else slice(None) for e in lb)]
+            la, lb = (tuple(e for e in l if e not in fixed) for l in (la, lb))
+        t = np.tensordot(da, db.conj(), axes=([0], [0]))
         # axes: phi's bonds then psi's, each in its tensor's order
-        deg = a.rank - 1
+        deg = len(la) - 1
         axes: list[int] = []
         dims: list[int] = []
         for lab in labels:
             e = _state_label(lab)
-            ia, ib = a.axis(e) - 1, deg + b.axis(e) - 1
+            ia, ib = la.index(e) - 1, deg + lb.index(e) - 1
             if self.layered.isdisjoint(e):
                 axes += [ia, ib]
                 dims.append(t.shape[ia] * t.shape[ib])
@@ -177,19 +191,34 @@ class StateOverlap:
         return Tensor(t.transpose(axes).reshape(dims), labels)
 
 
+@dataclass(frozen=True)
+class CutOverlap:
+    """The overlap network of a cut run before it is sliced: ``tensors``
+    holds the nodes that no cut edge touches, built once, and ``ends``
+    the axis order the program reads each cut endpoint in, which
+    ``slice_network`` builds per slice from ``overlap``.  ``built`` keeps
+    each endpoint's last build by the values of its cut edges, so a slice
+    rebuilds only the endpoints whose values changed."""
+
+    overlap: StateOverlap
+    tensors: dict[int, Tensor]
+    ends: dict[int, tuple[Edge, ...]]
+    built: dict[int, tuple[tuple[int, ...], Tensor]] = field(default_factory=dict)
+
+
 def build_overlap_network(
     phi: TNSState,
     psi: TNSState,
     program: ContractionProgram | None = None,
     cut_edges: tuple[Edge, ...] = (),
-) -> TensorNetwork:
-    """Every node of the overlap network of ``phi`` and ``psi``, in qubit
+) -> TensorNetwork | CutOverlap:
+    """The overlap network of ``phi`` and ``psi``, its nodes built in qubit
     order.
 
-    Without a program each node's axes follow its graph edges.  With one,
-    each node has its ``cut_edges`` axes first and then its axes in the
-    order the program reads them, so a slice's cut nodes are views and no
-    slice reorders a node.
+    Without a program, every node, its axes following its graph edges.
+    With one, a ``CutOverlap``: each node that no edge of ``cut_edges``
+    touches, in the axis order the program reads it, and no cut endpoint,
+    which ``slice_network`` builds at a slice's size.
     """
     overlap = StateOverlap(phi, psi, program.layered if program else frozenset())
     graph = phi.graph
@@ -197,13 +226,16 @@ def build_overlap_network(
     # (5, 6), the process's peak RSS read 61.8 MB this way and 62.4 MB in
     # program order (medians of 10 runs, 2 cores)
     reads = {q: graph.node_edges(q) for q in range(graph.num_qubits)}
-    if program is not None:
-        reads[program.first] = program.labels
-        reads.update((s.node, s.labels) for s in program.steps)
-    return TensorNetwork({
-        q: overlap.node(q, tuple(e for e in cut_edges if q in e) + labels)
-        for q, labels in reads.items()
-    })
+    if program is None:
+        return TensorNetwork({q: overlap.node(q, labels) for q, labels in reads.items()})
+    reads[program.first] = program.labels
+    reads.update((s.node, s.labels) for s in program.steps)
+    ends = {q for e in cut_edges for q in e}
+    return CutOverlap(
+        overlap,
+        {q: overlap.node(q, labels) for q, labels in reads.items() if q not in ends},
+        {q: labels for q, labels in reads.items() if q in ends},
+    )
 
 
 def _fiedler_order(shape: NetworkShape) -> list[int]:
@@ -308,26 +340,31 @@ def plan_cuts(
 
 
 def slice_network(
-    net: TensorNetwork | StateOverlap, plan: CutPlan, slice_index: int
+    net: TensorNetwork | StateOverlap | CutOverlap, plan: CutPlan, slice_index: int
 ) -> TensorNetwork | StateOverlap:
     """Restrict every cut edge to the value decoded from ``slice_index``:
-    ``net`` itself when the plan cuts nothing.
+    ``net`` itself when the plan cuts nothing and ``net`` holds every node.
 
     Decoding is mixed-radix with the first cut edge most significant.  The
     cut edges' axes are gone from the slice's tensors, so from its edges.
-    A node is indexed, not copied: where its cut axes lead, as
-    ``build_overlap_network`` puts them, its slice is a view.
+    A ``CutOverlap``'s cut endpoints are built for the slice, in the axis
+    order its program reads them; a ``TensorNetwork``'s nodes are indexed.
     """
     if not 0 <= slice_index < plan.slice_count:
         raise ValueError(f"slice index {slice_index} out of range")
-    if not plan.cut_edges:
-        return net
     values: dict[Edge, int] = {}
     rem = slice_index
     for e, ext in zip(reversed(plan.cut_edges), reversed(plan.extents)):
         values[e] = rem % ext
         rem //= ext
-
+    if isinstance(net, CutOverlap):
+        for q, labels in net.ends.items():
+            key = tuple(v for e, v in values.items() if q in e)
+            if q not in net.built or net.built[q][0] != key:
+                net.built[q] = key, net.overlap.node(q, labels, values)
+        return TensorNetwork({**net.tensors, **{q: t for q, (_, t) in net.built.items()}})
+    if not values:
+        return net
     tensors = dict(net.tensors)
     for q in {q for e in values for q in e}:
         t = tensors[q]
@@ -406,8 +443,12 @@ class ContractionProgram:
     step's ``elements``, the accumulator it transposes and the buffer it
     stages through, outside windows; inside a window, its whole input and
     output and all its nodes, plus one block of the step's accumulator, one
-    of its result and the block it transposes, and the buffer.  ``time``
-    is the compiler's estimate of the run time, in multiplies.
+    of its result and the block it transposes, and the buffer.  It leaves
+    out two things a run holds: the nodes beside a workspace sized for the
+    largest step (on ``amp-sq16-d11``'s first window, the run holds 33,792
+    elements more), and in a cut run the nodes that no cut edge touches,
+    built once for every slice.  ``time`` is the compiler's estimate of
+    the run time, in multiplies.
 
     ``workspace`` is the size of the one array a run writes every result
     into (``contract_along_path``): the largest share of a live set held
@@ -588,9 +629,10 @@ def compile_program(
     time of the programs whose ``peak_elements`` is at most ``peak_bound``,
     keeping the ``BEAM`` least-time states per open window after each step,
     and the result is None when there are none.  A step that cannot run
-    unchunked within the bound may open a window of any number of blocks
-    that holds it, whatever its cost; only where that finds no program may
-    a step whose accumulator a copy would not fit beside open one too.
+    unchunked within the bound may open a window of either of the two
+    fewest block counts that hold it, whatever its cost; only where that
+    finds no program may a step whose accumulator a copy would not fit
+    beside open one too.
 
     Windows then lower the peak live set.  The program is the one with the
     lowest ``peak_elements`` that copies no more than the least-cost one
@@ -598,8 +640,8 @@ def compile_program(
     ``WINDOW_SLACK`` of the multiplies in its windows.  Each bound below
     the least-cost one's is tried by the same DP.  It allows each window
     that fits its slack with the fewest blocks that hold the bound, and on
-    a span that the least-cost program chunks, every block count that
-    holds it.  A binary search over the candidate bounds finds the lowest
+    a span that the least-cost program chunks, the two fewest that hold
+    it.  A binary search over the candidate bounds finds the lowest
     that fits.
     """
     if sorted(path) != sorted(shape.nodes):
@@ -668,9 +710,9 @@ def compile_program(
     def within(bound, free=frozenset(), wide=False):
         """The least-cost program whose peak is at most ``bound``.
 
-        A window on a span in ``free`` is offered with every block count
-        that holds the bound; any other only where it fits its slack, with
-        the fewest blocks that hold it.
+        A window on a span in ``free`` is offered with the two fewest block
+        counts that hold the bound; any other only where it fits its slack,
+        with the fewest blocks that hold it.
         """
         plain = [e <= bound for e in elements]
         # a window may serve a step that cannot run unchunked, or, when
@@ -682,7 +724,11 @@ def compile_program(
             i, j, _ = span
             if any(tight[i:j + 1]):
                 if span in free:
-                    fits = [w for w in ws if peak_of(w) <= bound]
+                    # more blocks add calls: on amp-sq16-d11, square 3x3
+                    # d12 and 4x4 d10 and sycamore-like 4x5 d14, offering
+                    # every count compiled the same programs with up to
+                    # 17% more ``_moves`` calls
+                    fits = [w for w in ws if peak_of(w) <= bound][:2]
                 else:
                     fits = [w for w in ws if cheap(w) and peak_of(w) <= bound][:1]
                 starts[i] += fits
@@ -1010,9 +1056,9 @@ def compute_amplitude(
     (``_compile``, or the program an earlier amplitude of the same shape
     compiled) -> sum of the slices' scalars, every slice's results written
     into one workspace.  Only then is a node built: with no cuts, each when
-    its step reads it; with cuts, all up front in qubit order, so each
-    slice indexes them.  ``cuts`` is "auto", None (no cuts) or a list of
-    edges.
+    its step reads it; with cuts, the nodes no cut edge touches up front in
+    qubit order, and each cut endpoint per slice, at the slice's size.
+    ``cuts`` is "auto", None (no cuts) or a list of edges.
 
     ``path_score`` is the program's multiplies per slice, the search's
     score unless a qubit is layered.
@@ -1030,10 +1076,11 @@ def compute_amplitude(
     else:
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
     # dead cycles (the DP's tuples after a compile, about 1 MB on square
-    # 3x3 d12; a CLI call's argument parser) hold heap memory until a full
-    # collection, and a large workspace goes above them: without this, peak
-    # RSS rose by 0.6 MB over 40 sliced-sq16-d10 amplitudes in one process.
-    # A collection takes 7 ms or more, so small workspaces go without.
+    # 3x3 d12) hold heap memory until a full collection, and a large
+    # workspace goes above them: without this, peak RSS rose by 0.47 MB
+    # over 40 sliced-sq16-d10 amplitudes in one process, against 0.06 MB
+    # with it.  A collection takes 7 ms or more, so small workspaces go
+    # without.
     if program.workspace > STAGE:
         gc.collect()
     _workspace.array = np.empty(program.workspace, dtype=np.complex128)

@@ -210,7 +210,7 @@ class TestSliceNetwork:
         with pytest.raises(ValueError, match="out of range"):
             slice_network(net, plan, plan.slice_count)
 
-    def test_cut_nodes_are_views_of_the_built_network(self):
+    def test_cut_endpoints_are_built_per_slice_in_program_order(self):
         graph = generate_lattice("square", 3, 3)
         c = generate_rqc(graph, 5, seed=6)
         phi, psi = overlap_states(c, "0" * 9, "010101010")
@@ -223,13 +223,20 @@ class TestSliceNetwork:
         reads.update((step.node, step.labels) for step in program.steps)
         cut_nodes = {q for e in plan.cut_edges for q in e}
         assert cut_nodes == {1, 3, 4, 5}
+        assert set(net.tensors) == set(range(9)) - cut_nodes
+        _, e1, e2 = plan.extents
+        node1 = {}
         for s in range(plan.slice_count):
             sliced = slice_network(net, plan, s)
             for q in cut_nodes:
                 node = sliced.tensors[q]
-                assert np.shares_memory(node.data, net.tensors[q].data)
-                # already in the order the program reads: no reorder either
+                # already in the order the program reads: no reorder
                 assert sliced.node(q, reads[q]) is node
+                assert node.data.size == prod(edges[e] for e in reads[q])
+            # node 1 carries only the first cut edge, the most significant:
+            # it is rebuilt only when that edge's value changes
+            assert node1.setdefault(s // (e1 * e2), sliced.tensors[1]) is sliced.tensors[1]
+        assert len(node1) == plan.extents[0] > 1
 
 
 class TestContractAlongPath:
@@ -333,6 +340,52 @@ class TestComputeAmplitude:
         (program,) = programs
         assert stats.multiplies == program.multiplies
         assert peak <= program.peak_elements * 16 + 2**20
+
+    @pytest.mark.parametrize("rows, depth, cuts", [
+        (3, 12, [(0, 1)]),
+        (4, 10, [(5, 6)]),
+    ])
+    def test_cut_peak_within_the_program_and_cut_free_nodes(
+        self, monkeypatch, rows, depth, cuts
+    ):
+        # a cut endpoint is built per slice at the slice's size, so only the
+        # nodes no cut edge touches sit beside the program's live set
+        n = rows * rows
+        c = generate_rqc(generate_lattice("square", rows, rows), depth, seed=1)
+        nets, programs = [], []
+        build, run = network.build_overlap_network, network.contract_along_path
+        monkeypatch.setattr(
+            network, "build_overlap_network",
+            lambda *args: nets.append(build(*args)) or nets[-1],
+        )
+        monkeypatch.setattr(
+            network, "contract_along_path",
+            lambda net, program: programs.append(program) or run(net, program),
+        )
+        tracemalloc.start()
+        try:
+            stats = compute_amplitude(c, "0" * n, "0" * n, cuts=cuts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.slice_count == len(programs) > 1
+        ends = {q for e in cuts for q in e}
+        (net,) = nets
+        free = sum(
+            t.data.size for q, t in net.tensors.items() if (q if q >= 0 else ~q) not in ends
+        )
+        assert peak <= (programs[0].peak_elements + free) * 16 + 2**20
+
+    def test_cut_edges_sharing_an_endpoint(self):
+        # node 4 carries all three cut edges
+        c = generate_rqc(generate_lattice("square", 3, 3), 5, seed=6)
+        cuts = [(1, 4), (3, 4), (4, 5)]
+        stats = compute_amplitude(c, "0" * 9, "010101010", cuts=cuts)
+        uncut = compute_amplitude(c, "0" * 9, "010101010", cuts=None)
+        assert stats.slice_count > 1 and uncut.slice_count == 1
+        assert stats.amplitude == pytest.approx(uncut.amplitude, abs=1e-12)
+        ref = amplitude_oracle(c, "0" * 9, "010101010")
+        assert stats.amplitude == pytest.approx(ref, abs=1e-10)
 
     def test_rank_cap_respected_with_cuts(self):
         graph = generate_lattice("square", 3, 3)
