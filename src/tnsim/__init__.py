@@ -15,7 +15,6 @@ from .circuit import (
 from .network import (
     CutPlan,
     StateOverlap,
-    TensorNetwork,
     build_overlap_network,
     compile_program,
     compute_amplitude,

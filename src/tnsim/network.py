@@ -6,7 +6,10 @@ of parallel bonds (one from each state) merges into a single network edge of
 product extent.  Its shape follows from the two states' bond extents alone,
 so cuts, path and program are fixed before any node is built.  Cuts fix
 selected edges to each of their values, splitting the network into
-independent slice networks whose scalars sum to the uncut contraction.
+independent slice networks whose scalars sum to the uncut contraction.  One
+``StateOverlap`` serves every run and every slice: it builds each node as
+the program reads it, with the slice's cut bonds indexed, and holds the nodes
+that serve more than one slice.
 
 A qubit whose merged step is costly may instead enter the program as its two
 layer nodes, phi_q and psi_q*, joined by their physical edge.  Node ``~q``
@@ -17,6 +20,7 @@ layered endpoint ``k`` replaced by ``~k``.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import heapq
 import math
@@ -41,9 +45,7 @@ from .tensor import STAGE, Tensor, contract_pair, gemm_time, plan_gemm
 from .tns import PHYS, TNSState, two_sided_evolve
 
 __all__ = [
-    "TensorNetwork",
     "StateOverlap",
-    "CutOverlap",
     "CutPlan",
     "CutPlanError",
     "overlap_states",
@@ -61,38 +63,6 @@ __all__ = [
 
 class CutPlanError(RuntimeError):
     """Raised when no cut plan satisfies the rank cap."""
-
-
-@dataclass
-class TensorNetwork:
-    """Closed network: one tensor per qubit, axes labelled by graph edges.
-
-    ``edges`` maps each label to its extent and is derived from the tensors;
-    every label must sit on exactly two tensors with equal extents.
-    """
-
-    tensors: dict[int, Tensor]
-    edges: dict[Edge, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        seen: dict[Edge, list[int]] = {}
-        for t in self.tensors.values():
-            for lab, ext in zip(t.labels, t.dims):
-                seen.setdefault(lab, []).append(ext)
-        for lab, exts in seen.items():
-            if len(exts) != 2:
-                raise ValueError(f"edge {lab!r} on {len(exts)} tensors, expected 2")
-            if exts[0] != exts[1]:
-                raise ValueError(f"edge {lab!r} extents {exts[0]} != {exts[1]}")
-        self.edges = {lab: exts[0] for lab, exts in seen.items()}
-
-    def node(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
-        """Node ``q`` with its axes in the order ``labels``: the tensor
-        itself when they already are, else a transposed copy."""
-        t = self.tensors[q]
-        if t.labels == labels:
-            return t
-        return Tensor(t.data.transpose([t.axis(lab) for lab in labels]), labels)
 
 
 @dataclass(frozen=True)
@@ -134,8 +104,9 @@ def _state_label(lab: Edge):
 
 @dataclass(frozen=True)
 class StateOverlap:
-    """The overlap network of ``phi`` and ``psi`` with no node built:
-    ``node`` builds one when it is read and keeps nothing.
+    """The overlap network of ``phi`` and ``psi``, one slice of it when
+    ``values`` fixes each cut edge to one value: ``node`` builds a node when
+    it is read.
 
     psi is a ket; its tensors enter conjugated, so contracting the network
     yields <psi|phi>.  The qubits in ``layered`` are two nodes, phi_q (node
@@ -143,34 +114,49 @@ class StateOverlap:
     parallel bonds merge into one edge of product extent (phi index major,
     psi index minor on both endpoints) unless the edge splits at a layered
     neighbour.
+
+    ``held`` keeps nodes across slices, each with the values of its own cut
+    edges that it was built for: the slices of one network share it.
     """
 
     phi: TNSState
     psi: TNSState
     layered: frozenset[int] = frozenset()
+    values: dict[Edge, int] = field(default_factory=dict)
+    held: dict[int, tuple[tuple[int, ...], Tensor]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _common_graph(self.phi, self.psi)
 
-    def node(
-        self, q: int, labels: tuple[Edge, ...], values: dict[Edge, int] | None = None
-    ) -> Tensor:
-        """Node ``q`` with its axes in the order ``labels``.  A merged node
-        is phi_q . psi_q* over the physical axis: one product, then one copy
-        into that order.
+    def node(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
+        """Node ``q`` with its axes in the order ``labels``: the held one
+        when it was built in that order for this slice's values of its cut
+        edges, else a new build, held when it is a cut endpoint."""
+        key = tuple(v for e, v in self.values.items() if q in e)
+        held = self.held.get(q)
+        if held is not None and held[0] == key and held[1].labels == labels:
+            return held[1]
+        t = self._build(q, labels)
+        if key:
+            self.held[q] = key, t
+        return t
 
-        ``values`` fixes cut edges of a merged node to one value each, and
-        their axes are gone from the node.  Each is indexed before the
-        product: value v is phi's index v // b and psi's index v % b, with
-        b psi's extent on the edge, as the merged axis orders them."""
+    def _build(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
+        """A merged node is phi_q . psi_q* over the physical axis: one
+        product, then one copy into the order ``labels``.
+
+        The cut edges of a merged node are gone from it.  Each is indexed
+        before the product: value v is phi's index v // b and psi's index
+        v % b, with b psi's extent on the edge, as the merged axis orders
+        them."""
         if q < 0 or q in self.layered:
             t = self.psi.tensors[~q] if q < 0 else self.phi.tensors[q]
             data = t.data.transpose([t.axis(_state_label(lab)) for lab in labels])
             return Tensor(data.conj() if q < 0 else data, labels)
         a, b = self.phi.tensors[q], self.psi.tensors[q]
         da, db, la, lb = a.data, b.data, a.labels, b.labels
-        if values:
-            fixed = {e: divmod(values[e], b.dims[b.axis(e)]) for e in la if e in values}
+        fixed = {e: divmod(v, b.dims[b.axis(e)]) for e, v in self.values.items() if q in e}
+        if fixed:
             da = da[tuple(fixed[e][0] if e in fixed else slice(None) for e in la)]
             db = db[tuple(fixed[e][1] if e in fixed else slice(None) for e in lb)]
             la, lb = (tuple(e for e in l if e not in fixed) for l in (la, lb))
@@ -191,51 +177,32 @@ class StateOverlap:
         return Tensor(t.transpose(axes).reshape(dims), labels)
 
 
-@dataclass(frozen=True)
-class CutOverlap:
-    """The overlap network of a cut run before it is sliced: ``tensors``
-    holds the nodes that no cut edge touches, built once, and ``ends``
-    the axis order the program reads each cut endpoint in, which
-    ``slice_network`` builds per slice from ``overlap``.  ``built`` keeps
-    each endpoint's last build by the values of its cut edges, so a slice
-    rebuilds only the endpoints whose values changed."""
-
-    overlap: StateOverlap
-    tensors: dict[int, Tensor]
-    ends: dict[int, tuple[Edge, ...]]
-    built: dict[int, tuple[tuple[int, ...], Tensor]] = field(default_factory=dict)
-
-
 def build_overlap_network(
     phi: TNSState,
     psi: TNSState,
-    program: ContractionProgram | None = None,
-    cut_edges: tuple[Edge, ...] = (),
-) -> TensorNetwork | CutOverlap:
-    """The overlap network of ``phi`` and ``psi``, its nodes built in qubit
-    order.
-
-    Without a program, every node, its axes following its graph edges.
-    With one, a ``CutOverlap``: each node that no edge of ``cut_edges``
-    touches, in the axis order the program reads it, and no cut endpoint,
-    which ``slice_network`` builds at a slice's size.
+    program: ContractionProgram,
+    cut_edges: tuple[Edge, ...],
+) -> StateOverlap:
+    """The overlap network of ``phi`` and ``psi`` that ``program`` runs on
+    each slice of ``cut_edges``.  With cuts, it holds each node that no cut
+    edge touches, built once in qubit order and in the axis order the
+    program reads it; with none, it holds nothing.
     """
-    overlap = StateOverlap(phi, psi, program.layered if program else frozenset())
+    overlap = StateOverlap(phi, psi, program.layered)
+    if not cut_edges:
+        return overlap
     graph = phi.graph
     # built in qubit order, not program order: on square 4x4 d10 cut on
     # (5, 6), the process's peak RSS read 61.8 MB this way and 62.4 MB in
     # program order (medians of 10 runs, 2 cores)
     reads = {q: graph.node_edges(q) for q in range(graph.num_qubits)}
-    if program is None:
-        return TensorNetwork({q: overlap.node(q, labels) for q, labels in reads.items()})
     reads[program.first] = program.labels
     reads.update((s.node, s.labels) for s in program.steps)
     ends = {q for e in cut_edges for q in e}
-    return CutOverlap(
-        overlap,
-        {q: overlap.node(q, labels) for q, labels in reads.items() if q not in ends},
-        {q: labels for q, labels in reads.items() if q in ends},
+    overlap.held.update(
+        (q, ((), overlap.node(q, labels))) for q, labels in reads.items() if q not in ends
     )
+    return overlap
 
 
 def _fiedler_order(shape: NetworkShape) -> list[int]:
@@ -339,17 +306,11 @@ def plan_cuts(
     )
 
 
-def slice_network(
-    net: TensorNetwork | StateOverlap | CutOverlap, plan: CutPlan, slice_index: int
-) -> TensorNetwork | StateOverlap:
-    """Restrict every cut edge to the value decoded from ``slice_index``:
-    ``net`` itself when the plan cuts nothing and ``net`` holds every node.
-
-    Decoding is mixed-radix with the first cut edge most significant.  The
-    cut edges' axes are gone from the slice's tensors, so from its edges.
-    A ``CutOverlap``'s cut endpoints are built for the slice, in the axis
-    order its program reads them; a ``TensorNetwork``'s nodes are indexed.
-    """
+def slice_network(net: StateOverlap, plan: CutPlan, slice_index: int) -> StateOverlap:
+    """``net`` with every cut edge fixed to the value decoded from
+    ``slice_index``, mixed-radix with the first cut edge most significant.
+    The slice shares ``net``'s held nodes, and its cut endpoints are built
+    without their cut edges' axes."""
     if not 0 <= slice_index < plan.slice_count:
         raise ValueError(f"slice index {slice_index} out of range")
     values: dict[Edge, int] = {}
@@ -357,21 +318,7 @@ def slice_network(
     for e, ext in zip(reversed(plan.cut_edges), reversed(plan.extents)):
         values[e] = rem % ext
         rem //= ext
-    if isinstance(net, CutOverlap):
-        for q, labels in net.ends.items():
-            key = tuple(v for e, v in values.items() if q in e)
-            if q not in net.built or net.built[q][0] != key:
-                net.built[q] = key, net.overlap.node(q, labels, values)
-        return TensorNetwork({**net.tensors, **{q: t for q, (_, t) in net.built.items()}})
-    if not values:
-        return net
-    tensors = dict(net.tensors)
-    for q in {q for e in values for q in e}:
-        t = tensors[q]
-        index = tuple(values.get(lab, slice(None)) for lab in t.labels)
-        labels = tuple(lab for lab in t.labels if lab not in values)
-        tensors[q] = Tensor(t.data[index + (...,)], labels)
-    return TensorNetwork(tensors)
+    return dataclasses.replace(net, values=values)
 
 
 # One ``contract_pair`` call costs about as much time as CALL multiplies at
@@ -955,18 +902,8 @@ def _run_window(
     return Tensor(result, block.labels)
 
 
-class _Workspace(threading.local):
-    """The workspace ``compute_amplitude`` allocates for one amplitude in
-    this thread, which each of its slices' ``contract_along_path`` reuses."""
-
-    array: np.ndarray | None = None
-
-
-_workspace = _Workspace()
-
-
 def contract_along_path(
-    net: TensorNetwork | StateOverlap, program: ContractionProgram
+    net: StateOverlap, program: ContractionProgram, workspace: np.ndarray | None = None
 ) -> complex:
     """Run ``program`` on ``net``, one slice, and return its scalar.
 
@@ -976,14 +913,13 @@ def contract_along_path(
     block, so make one call per step per block, each on block-sized
     intermediates.
 
-    Every result is written into one workspace of ``program.workspace``
-    elements: the one ``compute_amplitude`` holds for the amplitude, else
-    one allocated for this call.  A step's result goes to the end of it
-    opposite its input, and a staged step copies through the room between
-    when that holds its buffer; the first node sits outside it.
+    Every result is written into ``workspace``, of ``program.workspace``
+    elements or more, else into one allocated for this call.  A step's
+    result goes to the end of it opposite its input, and a staged step
+    copies through the room between when that holds its buffer; the first
+    node sits outside it.
     """
-    workspace = _workspace.array
-    if workspace is None or len(workspace) < program.workspace:
+    if workspace is None:
         workspace = np.empty(program.workspace, dtype=np.complex128)
     acc = net.node(program.first, program.labels)
     high = None  # where acc sits in the workspace; None: outside it
@@ -1054,11 +990,13 @@ def compute_amplitude(
     search on slice 0 is reused for every slice -> that path compiled once
     into a program, layering its costliest qubit steps where that pays
     (``_compile``, or the program an earlier amplitude of the same shape
-    compiled) -> sum of the slices' scalars, every slice's results written
-    into one workspace.  Only then is a node built: with no cuts, each when
-    its step reads it; with cuts, the nodes no cut edge touches up front in
-    qubit order, and each cut endpoint per slice, at the slice's size.
-    ``cuts`` is "auto", None (no cuts) or a list of edges.
+    compiled) -> the network (``build_overlap_network``) -> sum of its
+    slices' scalars, every slice's results written into one workspace.
+    Only then is a node built: up front, in qubit order, each node that no
+    cut edge touches when there are cuts; every other node when its step
+    reads it, a cut endpoint at its slice's size, rebuilt only when the
+    values of its cut edges change.  ``cuts`` is "auto", None (no cuts) or
+    a list of edges.
 
     ``path_score`` is the program's multiplies per slice, the search's
     score unless a qubit is layered.
@@ -1071,10 +1009,7 @@ def compute_amplitude(
     path = list(plan.path)
     edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
     program = _compile(NetworkShape(shape.nodes, edges), phi, psi, path, plan.cut_edges)
-    if not plan.cut_edges:
-        net = StateOverlap(phi, psi, program.layered)
-    else:
-        net = build_overlap_network(phi, psi, program, plan.cut_edges)
+    net = build_overlap_network(phi, psi, program, plan.cut_edges)
     # dead cycles (the DP's tuples after a compile, about 1 MB on square
     # 3x3 d12) hold heap memory until a full collection, and a large
     # workspace goes above them: without this, peak RSS rose by 0.47 MB
@@ -1083,14 +1018,11 @@ def compute_amplitude(
     # without.
     if program.workspace > STAGE:
         gc.collect()
-    _workspace.array = np.empty(program.workspace, dtype=np.complex128)
-    try:
-        total = sum(
-            contract_along_path(slice_network(net, plan, s), program)
-            for s in range(plan.slice_count)
-        )
-    finally:
-        _workspace.array = None
+    workspace = np.empty(program.workspace, dtype=np.complex128)
+    total = sum(
+        contract_along_path(slice_network(net, plan, s), program, workspace=workspace)
+        for s in range(plan.slice_count)
+    )
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
         total,

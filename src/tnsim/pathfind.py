@@ -50,10 +50,6 @@ class NetworkShape:
         adj = {q: frozenset(l if k == q else k for k, l in v) for q, v in legs.items()}
         object.__setattr__(self, "_adj", adj)
 
-    @classmethod
-    def from_network(cls, net) -> "NetworkShape":
-        return cls(tuple(sorted(net.tensors)), dict(net.edges))
-
     def adjacency(self) -> dict[int, frozenset[int]]:
         return self._adj
 

@@ -4,12 +4,15 @@ The costs here are read off the shape's edge list, not through the search's
 own step pricing, so agreement with ``find_optimal_path`` is evidence.
 """
 
+from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 from unittest import mock
 
 from tnsim import pathfind
+from tnsim.circuit import Edge
 from tnsim.pathfind import NetworkShape
+from tnsim.tensor import Tensor
 from tnsim.tns import PHYS, TNSState
 
 EXHAUSTIVE_NODE_CAP = 10
@@ -104,3 +107,41 @@ def check_invariants(state: TNSState) -> None:
     for e in state.graph.edges:
         ta, tb = (state.tensors[q] for q in e)
         assert ta.dims[ta.axis(e)] == tb.dims[tb.axis(e)]
+
+
+@dataclass
+class TensorNetwork:
+    """Closed network of hand-built nodes, one per qubit, axes labelled by
+    graph edges: the compiler's and the executor's input when no states
+    stand behind it.
+
+    ``edges`` maps each label to its extent and is derived from the tensors;
+    every label must sit on exactly two tensors with equal extents.
+    """
+
+    tensors: dict[int, Tensor]
+    edges: dict[Edge, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        seen: dict[Edge, list[int]] = {}
+        for t in self.tensors.values():
+            for lab, ext in zip(t.labels, t.dims):
+                seen.setdefault(lab, []).append(ext)
+        for lab, exts in seen.items():
+            if len(exts) != 2:
+                raise ValueError(f"edge {lab!r} on {len(exts)} tensors, expected 2")
+            if exts[0] != exts[1]:
+                raise ValueError(f"edge {lab!r} extents {exts[0]} != {exts[1]}")
+        self.edges = {lab: exts[0] for lab, exts in seen.items()}
+
+    def node(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
+        """Node ``q`` with its axes in the order ``labels``: the tensor
+        itself when they already are, else a transposed copy."""
+        t = self.tensors[q]
+        if t.labels == labels:
+            return t
+        return Tensor(t.data.transpose([t.axis(lab) for lab in labels]), labels)
+
+
+def network_shape(net: TensorNetwork) -> NetworkShape:
+    return NetworkShape(tuple(sorted(net.tensors)), dict(net.edges))

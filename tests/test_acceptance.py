@@ -26,10 +26,12 @@ from tnsim.circuit import (
 )
 from tnsim.cli import main
 from tnsim.network import (
+    StateOverlap,
     build_overlap_network,
     compile_program,
     compute_amplitude,
     contract_along_path,
+    overlap_shape,
     plan_cuts,
     slice_network,
 )
@@ -182,15 +184,15 @@ def test_criterion_05_slice_sum_identity(report):
         circuit = generate_rqc(graph, rnd.randint(2, 6), seed=3000 + i)
         fused = fuse_single_qubit_gates(circuit)
         phi, psi = two_sided_evolve(fused, random_bits(rng, n), random_bits(rng, n))
-        net = build_overlap_network(phi, psi)
-        shape = NetworkShape.from_network(net)
+        shape = overlap_shape(phi, psi)
         order, _ = find_optimal_path(shape)
-        whole = contract_along_path(net, compile_program(shape, order))
-        edges = rnd.sample(sorted(net.edges), rnd.randint(1, 3))
-        plan = plan_cuts(NetworkShape.from_network(net), explicit_edges=edges)
-        program = compile_program(
-            NetworkShape.from_network(slice_network(net, plan, 0)), order
-        )
+        whole = contract_along_path(StateOverlap(phi, psi), compile_program(shape, order))
+        edges = rnd.sample(sorted(shape.edges), rnd.randint(1, 3))
+        plan = plan_cuts(shape, explicit_edges=edges)
+        kept = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
+        program = compile_program(NetworkShape(shape.nodes, kept), order)
+        # the network compute_amplitude slices
+        net = build_overlap_network(phi, psi, program, plan.cut_edges)
         total = sum(
             contract_along_path(slice_network(net, plan, s), program)
             for s in range(plan.slice_count)

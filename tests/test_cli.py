@@ -16,7 +16,7 @@ import tnsim.network
 from tnsim.circuit import Circuit, CircuitGraph, Gate, cz_matrix, parse_circuit
 from tnsim.cli import main
 from tnsim.oracle import amplitude_oracle
-from tnsim.pathfind import NetworkShape, find_optimal_path
+from tnsim.pathfind import find_optimal_path
 from tnsim.workload import ErrorModel, WorkloadError, estimate_workload
 
 
@@ -442,8 +442,7 @@ class TestPath:
         with open(circuit_file, "rb") as fh:
             circuit = parse_circuit(fh.read())
         phi, psi = tnsim.network.overlap_states(circuit, "0000", "0000")
-        net = tnsim.network.build_overlap_network(phi, psi)
-        path, score = find_optimal_path(NetworkShape.from_network(net))
+        path, score = find_optimal_path(tnsim.network.overlap_shape(phi, psi))
         expected = json.dumps({"path": path, "score": str(score)}, sort_keys=True)
 
         def no_nodes(*args):
