@@ -61,10 +61,9 @@ def slice_shape(shape: NetworkShape, cut_edges) -> NetworkShape:
 def sliced_run(phi, psi, cuts):
     """The plan slicing ``cuts``, the program compiled on its slice shape,
     and the network ``compute_amplitude`` slices."""
-    plan = plan_cuts(overlap_shape(phi, psi), explicit_edges=cuts)
-    program = compile_program(
-        slice_shape(overlap_shape(phi, psi), plan.cut_edges), list(plan.path)
-    )
+    shape = overlap_shape(phi, psi)
+    plan = plan_cuts(shape, explicit_edges=cuts)
+    program = compile_program(slice_shape(shape, plan.cut_edges), list(plan.path))
     return plan, program, build_overlap_network(phi, psi, program, plan.cut_edges)
 
 
