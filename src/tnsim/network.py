@@ -26,11 +26,12 @@ import heapq
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from math import prod
 from operator import xor
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,76 +206,7 @@ def build_overlap_network(
     return overlap
 
 
-def _fiedler_order(shape: NetworkShape) -> list[int]:
-    """Nodes sorted by the Fiedler vector of the unweighted graph Laplacian;
-    a deterministic 1-D sweep coordinate for separator search."""
-    nodes = list(shape.nodes)
-    idx = {q: i for i, q in enumerate(nodes)}
-    n = len(nodes)
-    lap = np.zeros((n, n))
-    for k, l in shape.edges:
-        i, j = idx[k], idx[l]
-        lap[i, j] -= 1
-        lap[j, i] -= 1
-        lap[i, i] += 1
-        lap[j, j] += 1
-    if n <= 2:
-        return sorted(nodes)
-    _, vecs = np.linalg.eigh(lap)
-    fied = vecs[:, 1]
-    nz = fied[np.abs(fied) > 1e-12]
-    if nz.size and nz[0] < 0:
-        fied = -fied
-    return [q for _, q in sorted(zip(fied, nodes), key=lambda t: (t[0], t[1]))]
-
-
-def _separator_cuts(shape: NetworkShape) -> Iterator[list[Edge]]:
-    """Growing cut sets: each adds the uncut edges crossing the thinnest
-    split of the Fiedler ordering (the thinnest place of the lattice).
-
-    A split's crossing edges are the open edges of the prefix before it,
-    kept as a running symmetric difference along the order.
-    """
-    order = _fiedler_order(shape)
-    splits = list(accumulate((shape.open_edges((q,)) for q in order[:-1]), xor))
-    cuts: list[Edge] = []
-    for _ in range(len(order)):
-        best: frozenset[Edge] | None = None
-        for split in splits:
-            crossing = split.difference(cuts)
-            if crossing and (best is None or len(crossing) < len(best)):
-                best = crossing
-        if not best:
-            return
-        cuts = cuts + sorted(best)
-        yield cuts
-
-
 PLANNER_STATE_BUDGET = 1_000_000
-
-
-def _slice_plan(
-    shape: NetworkShape,
-    cuts: list[Edge],
-    max_rank: int,
-    max_states: int | None = None,
-) -> CutPlan:
-    """The plan slicing ``cuts``, with the path found on its slice-0 shape.
-
-    Cut edges enter the search at extent 1, so adjacency survives; every
-    slice is structurally identical and reuses the path.
-    """
-    for e in cuts:
-        if e not in shape.edges:
-            raise ValueError(f"cut edge {e} not in network")
-    if len(set(cuts)) != len(cuts):
-        raise ValueError("duplicate cut edges")
-    edges = {**shape.edges, **dict.fromkeys(cuts, 1)}
-    path, score = find_optimal_path(
-        NetworkShape(shape.nodes, edges), max_rank, max_states=max_states
-    )
-    extents = tuple(shape.edges[e] for e in cuts)
-    return CutPlan(tuple(cuts), extents, tuple(path), score)
 
 
 def plan_cuts(
@@ -285,25 +217,59 @@ def plan_cuts(
     """Choose edges of the network of ``shape`` to slice so one slice fits
     the rank cap, and the path that contracts every slice.
 
-    Explicit edges (an empty list for no cuts) are kept verbatim and their
-    slice is searched without a state budget.  Automatic mode tries no cuts,
-    then each of ``_separator_cuts`` in turn, until a search capped at
-    ``PLANNER_STATE_BUDGET`` states succeeds on a slice under the cap.  The
-    cap defaults to ``treewidth_bound + 1``.
+    Explicit edges (an empty list for no cuts) are kept verbatim, and the
+    path is searched on their slice shape, where they have extent 1, under
+    the cap (default ``treewidth_bound + 1``) without a state budget.
+
+    Automatic mode searches the uncut shape once at the least cap that has
+    a path: from ``target_max_rank`` (default ``treewidth_bound + 1``) up,
+    one step at a time, each probe held to ``PLANNER_STATE_BUDGET`` states
+    until the cap reaches the edge count and prunes nothing.  With no
+    target it cuts nothing.  With one, it cuts along that path: while an
+    intermediate (the first node included) has more than ``target_max_rank``
+    uncut edges of extent > 1, it cuts the edge open at the most such
+    intermediates, the lower edge on a tie.  ``score`` is the path's cost
+    per slice.
     """
-    if target_max_rank is None:
-        target_max_rank = treewidth_bound(shape) + 1
+    cap = treewidth_bound(shape) + 1 if target_max_rank is None else target_max_rank
     if explicit_edges is not None:
-        edges = [tuple(sorted(e)) for e in explicit_edges]
-        return _slice_plan(shape, edges, target_max_rank)
-    for cuts in chain([[]], _separator_cuts(shape)):
+        cuts = [tuple(sorted(e)) for e in explicit_edges]
+        for e in cuts:
+            if e not in shape.edges:
+                raise ValueError(f"cut edge {e} not in network")
+        if len(set(cuts)) != len(cuts):
+            raise ValueError("duplicate cut edges")
+        edges = {**shape.edges, **dict.fromkeys(cuts, 1)}
+        path, score = find_optimal_path(NetworkShape(shape.nodes, edges), cap)
+        return CutPlan(tuple(cuts), tuple(shape.edges[e] for e in cuts), tuple(path), score)
+    while True:
+        budget = PLANNER_STATE_BUDGET if cap < len(shape.edges) else None
         try:
-            return _slice_plan(shape, cuts, target_max_rank, PLANNER_STATE_BUDGET)
+            path, _ = find_optimal_path(shape, cap, max_states=budget)
+            break
         except PathSearchError:
-            continue
-    raise CutPlanError(
-        f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts"
+            if budget is None:
+                raise
+            cap += 1
+    # the open edges of each intermediate, from the first node on
+    opens = list(accumulate((shape.open_edges((q,)) for q in path[:-1]), xor))
+    cuts: list[Edge] = []
+    if target_max_rank is not None:
+        wide = [{e for e in s if shape.edges[e] > 1} for s in opens]
+        while over := [s for s in wide if len(s) > target_max_rank]:
+            counts = Counter(chain.from_iterable(over))
+            if not counts:
+                raise CutPlanError(
+                    f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts"
+                )
+            cuts.append(min(counts, key=lambda e: (-counts[e], e)))
+            for s in wide:
+                s.discard(cuts[-1])
+    ext = {**shape.edges, **dict.fromkeys(cuts, 1)}
+    score = sum(
+        prod(ext[e] for e in s | shape.open_edges((q,))) for s, q in zip(opens, path[1:])
     )
+    return CutPlan(tuple(cuts), tuple(shape.edges[e] for e in cuts), tuple(path), score)
 
 
 def slice_network(net: StateOverlap, plan: CutPlan, slice_index: int) -> StateOverlap:

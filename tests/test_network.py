@@ -1,7 +1,8 @@
+import functools
 import sys
 import threading
 import tracemalloc
-from itertools import islice, permutations
+from itertools import permutations
 from math import prod
 
 import numpy as np
@@ -65,6 +66,16 @@ def sliced_run(phi, psi, cuts):
     plan = plan_cuts(shape, explicit_edges=cuts)
     program = compile_program(slice_shape(shape, plan.cut_edges), list(plan.path))
     return plan, program, build_overlap_network(phi, psi, program, plan.cut_edges)
+
+
+def intermediate_ranks(shape: NetworkShape, path) -> list[int]:
+    """The rank of each intermediate along ``path``, from the first node
+    to the one before the last absorption."""
+    opened, ranks = frozenset(), []
+    for q in path[:-1]:
+        opened ^= shape.open_edges((q,))
+        ranks.append(sum(shape.edges[e] > 1 for e in opened))
+    return ranks
 
 
 def program_reads(program) -> dict:
@@ -158,6 +169,37 @@ class TestPlanCuts:
         plan = plan_cuts(shape_of(net), target_max_rank=3)
         assert plan.cut_edges  # the cap is infeasible without cuts
         assert plan.slice_count == np.prod(plan.extents)
+
+    def test_square_4x4_d8_seed_3_at_cap_3(self):
+        # `tnsim gen --lattice square --size 16 --depth 8 --seed 3` at
+        # `--max-rank 3`: 4 cuts along the one path searched at cap 3
+        circuit = generate_rqc(generate_lattice("square", 4, 4), 8, seed=3)
+        shape = shape_of(overlap_net(circuit, "0" * 16, "01" * 8))
+        plan = plan_cuts(shape, 3)
+        assert len(plan.cut_edges) == 4
+        assert plan.slice_count == 4096
+        assert max(intermediate_ranks(slice_shape(shape, plan.cut_edges), plan.path)) <= 3
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, None])
+    @pytest.mark.parametrize("depth", [4, 8, 12])
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (3, 4), (4, 4), (4, 5)])
+    @pytest.mark.parametrize("kind", ["square", "sycamore-like"])
+    def test_plan_holds_the_cap_on_every_slice(self, kind, rows, cols, depth, cap):
+        shape = lattice_overlap_shape(kind, rows, cols, depth)
+        plan = plan_cuts(shape, cap)
+        sliced = slice_shape(shape, plan.cut_edges)
+        if cap is None:
+            assert plan.cut_edges == ()
+        else:
+            assert max(intermediate_ranks(sliced, plan.path)) <= cap
+        assert plan.score == sum(step_multiplies(sliced, list(plan.path)))
+
+    def test_cut_plan_amplitude_matches_uncut(self):
+        circuit = generate_rqc(generate_lattice("square", 3, 4), 6, seed=6)
+        cut = compute_amplitude(circuit, "0" * 12, "01" * 6, max_rank=3)
+        uncut = compute_amplitude(circuit, "0" * 12, "01" * 6, cuts=None)
+        assert cut.slice_count == 8
+        assert cut.amplitude == pytest.approx(uncut.amplitude, abs=1e-12)
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
     def test_cap_holds_for_the_first_node(self, cap):
@@ -446,6 +488,7 @@ class TestComputeAmplitude:
         assert stats.amplitude == pytest.approx(ref, abs=1e-10)
 
 
+@functools.cache
 def lattice_overlap_shape(kind: str, rows: int, cols: int, depth: int) -> NetworkShape:
     n = rows * cols
     circuit = generate_rqc(generate_lattice(kind, rows, cols), depth, seed=1)
@@ -453,8 +496,8 @@ def lattice_overlap_shape(kind: str, rows: int, cols: int, depth: int) -> Networ
 
 
 class TestSearchOnOverlapNetworks:
-    """Paths, scores and separator cuts pinned on real overlap networks,
-    beyond the sizes the exhaustive oracle reaches."""
+    """Paths, scores and cut plans pinned on real overlap networks, beyond
+    the sizes the exhaustive oracle reaches."""
 
     def test_square_4x4_d11_at_auto_cap(self):
         shape = lattice_overlap_shape("square", 4, 4, 11)
@@ -476,15 +519,19 @@ class TestSearchOnOverlapNetworks:
 
     def test_sycamore_6x6_d8_at_cap_5(self):
         shape = lattice_overlap_shape("sycamore-like", 6, 6, 8)
-        assert find_optimal_path(shape, 5) == (
-            [0, 6, 12, 7, 1, 18, 30, 24, 31, 19, 25, 13, 20, 8, 2, 32, 14, 9,
-             26, 33, 21, 3, 15, 10, 27, 34, 22, 4, 16, 11, 5, 17, 23, 29, 28, 35],
-            155451968,
-        )
-        assert list(islice(network._separator_cuts(shape), 2)) == [
-            [(5, 11)],
-            [(5, 11), (24, 30)],
-        ]
+        path = [0, 6, 12, 7, 1, 18, 30, 24, 31, 19, 25, 13, 20, 8, 2, 32, 14, 9,
+                26, 33, 21, 3, 15, 10, 27, 34, 22, 4, 16, 11, 5, 17, 23, 29, 28, 35]
+        assert find_optimal_path(shape, 5) == (path, 155451968)
+        # the default cap of 4 has no path: the planner raises it to 5,
+        # takes this path and cuts nothing
+        assert treewidth_bound(shape) + 1 == 4
+        plan = plan_cuts(shape)
+        assert (plan.cut_edges, list(plan.path), plan.score) == ((), path, 155451968)
+        # a target of 4 cuts along the same path
+        plan = plan_cuts(shape, 4)
+        assert list(plan.path) == path
+        assert len(plan.cut_edges) == 6
+        assert plan.slice_count == 524_288
 
 
 def random_grid_network(rng, rows: int, cols: int, extents=(2, 5)) -> TensorNetwork:
