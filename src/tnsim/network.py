@@ -42,7 +42,7 @@ from .pathfind import (
     find_optimal_path,
     treewidth_bound,
 )
-from .tensor import STAGE, Tensor, contract_pair, gemm_time, plan_gemm
+from .tensor import STAGE, Tensor, Workers, contract_pair, gemm_time, plan_gemm
 from .tns import PHYS, TNSState, two_sided_evolve
 
 __all__ = [
@@ -814,12 +814,20 @@ def _compile_afresh(
     return layered
 
 
-def _absorb(acc: Tensor, node: Tensor, step: Step, out: np.ndarray, scratch: np.ndarray) -> Tensor:
+def _absorb(
+    acc: Tensor,
+    node: Tensor,
+    step: Step,
+    workers: Workers | None,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> Tensor:
     pairs = [(acc.axis(lab), i) for i, lab in enumerate(step.labels)
              if lab in acc.labels]
     if step.node_first:
-        return contract_pair(node, acc, [(j, i) for i, j in pairs], out=out, scratch=scratch)
-    return contract_pair(acc, node, pairs, out=out, scratch=scratch)
+        pairs = [(j, i) for i, j in pairs]
+        return contract_pair(node, acc, pairs, out=out, scratch=scratch, workers=workers)
+    return contract_pair(acc, node, pairs, out=out, scratch=scratch, workers=workers)
 
 
 def _split(space: np.ndarray, n: int, high: bool, held: int) -> tuple[np.ndarray, np.ndarray]:
@@ -831,7 +839,8 @@ def _split(space: np.ndarray, n: int, high: bool, held: int) -> tuple[np.ndarray
 
 
 def _run_window(
-    acc: Tensor, high: bool | None, net, steps, window: Window, workspace: np.ndarray
+    acc: Tensor, high: bool | None, net, steps, window: Window, workspace: np.ndarray,
+    workers: Workers | None,
 ) -> Tensor:
     """The window's steps run on each block of ``acc``'s window axis, moved
     to the front: a view when it leads ``acc``, else a copy of the block.
@@ -860,7 +869,9 @@ def _run_window(
         for step, node in zip(steps, nodes):
             held = 0 if at is None else block.data.size
             at = not at
-            block = _absorb(block, node, step, *_split(room, step.size // window.blocks, at, held))
+            block = _absorb(
+                block, node, step, workers, *_split(room, step.size // window.blocks, at, held)
+            )
         axis = block.axis(window.axis)
         if result is None:
             result = out.reshape(block.dims[:axis] + (len(data),) + block.dims[axis + 1:])
@@ -869,7 +880,10 @@ def _run_window(
 
 
 def contract_along_path(
-    net: StateOverlap, program: ContractionProgram, workspace: np.ndarray | None = None
+    net: StateOverlap,
+    program: ContractionProgram,
+    workspace: np.ndarray | None = None,
+    workers: Workers | None = None,
 ) -> complex:
     """Run ``program`` on ``net``, one slice, and return its scalar.
 
@@ -883,7 +897,8 @@ def contract_along_path(
     elements or more, else into one allocated for this call.  A step's
     result goes to the end of it opposite its input, and a staged step
     copies through the room between when that holds its buffer; the first
-    node sits outside it.
+    node sits outside it.  Each call may split across ``workers``
+    (``contract_pair``).
     """
     if workspace is None:
         workspace = np.empty(program.workspace, dtype=np.complex128)
@@ -894,13 +909,15 @@ def contract_along_path(
     while t < len(program.steps):
         w = windows.get(t)
         if w:
-            acc = _run_window(acc, high, net, program.steps[t:w.stop + 1], w, workspace)
+            acc = _run_window(
+                acc, high, net, program.steps[t:w.stop + 1], w, workspace, workers
+            )
             t = w.stop + 1
         else:
             step = program.steps[t]
             node = net.node(step.node, step.labels)
             held = 0 if high is None else acc.data.size
-            acc = _absorb(acc, node, step, *_split(workspace, step.size, not high, held))
+            acc = _absorb(acc, node, step, workers, *_split(workspace, step.size, not high, held))
             t += 1
         high = not high
     return acc.scalar()
@@ -957,7 +974,8 @@ def compute_amplitude(
     into a program, layering its costliest qubit steps where that pays
     (``_compile``, or the program an earlier amplitude of the same shape
     compiled) -> the network (``build_overlap_network``) -> sum of its
-    slices' scalars, every slice's results written into one workspace.
+    slices' scalars, every slice's results written into one workspace and
+    its large calls split across the amplitude's ``Workers``.
     Only then is a node built: up front, in qubit order, each node that no
     cut edge touches when there are cuts; every other node when its step
     reads it, a cut endpoint at its slice's size, rebuilt only when the
@@ -985,10 +1003,13 @@ def compute_amplitude(
     if program.workspace > STAGE:
         gc.collect()
     workspace = np.empty(program.workspace, dtype=np.complex128)
-    total = sum(
-        contract_along_path(slice_network(net, plan, s), program, workspace=workspace)
-        for s in range(plan.slice_count)
-    )
+    with Workers() as workers:
+        total = sum(
+            contract_along_path(
+                slice_network(net, plan, s), program, workspace=workspace, workers=workers
+            )
+            for s in range(plan.slice_count)
+        )
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
         total,

@@ -397,15 +397,16 @@ class TestVerify:
     def test_import_loads_no_process_pool(self):
         src = os.path.dirname(os.path.dirname(tnsim.cli.__file__))
         code = (
-            "import sys, tnsim.cli; "
+            "import sys, threading, tnsim.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules))"
+            "if m in sys.modules), threading.active_count())"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, check=True,
         )
-        assert done.stdout.strip() == "[]"
+        # and it starts no thread
+        assert done.stdout.strip() == "[] 1"
 
     def test_oracle_cap_checked_before_any_amplitude(
         self, capsys, tmp_path, monkeypatch

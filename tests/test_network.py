@@ -8,7 +8,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from tnsim import network
+from tnsim import network, tensor
 from tnsim.circuit import (
     Circuit,
     CircuitGraph,
@@ -1093,12 +1093,21 @@ class TestWorkspace:
 
     def test_threads_keep_their_own_workspace_and_programs(self, monkeypatch):
         # more threads than cores, each alternating two shapes through a
-        # one-program cache: a shared workspace or a lost cache update
-        # would change an amplitude or raise
+        # one-program cache and splitting its calls across its own workers:
+        # a shared workspace, a lost cache update or a split that changes a
+        # GEMM would change an amplitude or raise
         monkeypatch.setattr(network, "PROGRAMS", 1)
         jobs = [(self.circuit, None), (self.circuit, [(0, 1)]),
                 (generate_rqc(generate_lattice("square", 3, 3), 6, seed=2), None)]
         expected = [compute_amplitude(c, "0" * 9, "010101010", cuts=k).amplitude for c, k in jobs]
+        monkeypatch.setattr(tensor, "SPLIT", 1)
+        splits = []
+        run = tensor.Workers.run
+        monkeypatch.setattr(
+            tensor.Workers, "run", lambda self, job: splits.append(1) or run(self, job)
+        )
+        blas = tensor._openblas()
+        before = blas[0]() if blas else None
         failures = []
 
         def work(offset):
@@ -1120,3 +1129,6 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+        if blas:
+            assert blas[0]() == before
+            assert splits or before == 1

@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -178,21 +179,26 @@ class TestContractPairLayouts:
                 tracemalloc.stop()
             assert peak < large.data.nbytes / 4
 
-    def test_split_run_allocates_one_buffer(self, rng):
-        # 2^20 elements, 16 MiB, paired on its second and last axes
+    def test_split_run_allocates_one_buffer(self, rng, split):
+        # 2^20 elements, 16 MiB, paired on its second and last axes; whole,
+        # and split, each of two workers staging through its half of the
+        # one buffer
+        split(1)
         large = Tensor(crandn(rng, 64, 16, 16, 64), tuple(f"l{i}" for i in range(4)))
         small = Tensor(crandn(rng, 16, 64, 4), ("s0", "s1", "s2"))
         pairs = [(1, 0), (3, 1)]
         swapped = [(j, i) for i, j in pairs]
-        for a, b, ab in ((large, small, pairs), (small, large, swapped)):
-            assert plan_gemm(a.dims, b.dims, ab).stage
-            tracemalloc.start()
-            try:
-                out = contract_pair(a, b, ab)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= out.data.nbytes + small.data.nbytes + 2**20
+        for workers in (None, Threads(2)):
+            for a, b, ab in ((large, small, pairs), (small, large, swapped)):
+                assert plan_gemm(a.dims, b.dims, ab).stage
+                tracemalloc.start()
+                try:
+                    out = contract_pair(a, b, ab, workers=workers)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= out.data.nbytes + small.data.nbytes + 2**20
+        assert workers.runs == 2
 
 
 @pytest.fixture
@@ -206,6 +212,45 @@ def stage(monkeypatch):
 
     yield set_stage
     tensor._plan_gemm.cache_clear()
+
+
+class Threads:
+    """Workers of any count for ``contract_pair``: each piece of a split
+    call runs on its own thread, and ``runs`` counts the split calls."""
+
+    def __init__(self, count):
+        self.count = count
+        self.runs = 0
+
+    def run(self, job):
+        self.runs += 1
+        errors = []
+
+        def piece(j):
+            try:
+                job(j)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=piece, args=(j,)) for j in range(self.count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Sets ``tensor.SPLIT`` for one test: a call of that many multiplies
+    or more is split across the workers it is given."""
+
+    def set_split(multiplies):
+        monkeypatch.setattr(tensor, "SPLIT", multiplies)
+
+    return set_split
 
 
 def labelled(data, prefix):
@@ -470,3 +515,96 @@ class TestContractPairOut:
         a, b = labelled(crandn(rng, 4, 3, 5), "a"), labelled(crandn(rng, 5, 6), "b")
         with pytest.raises(TypeError):
             contract_pair(a, b, [(2, 0)], np.empty(72, dtype=complex))
+
+
+# (a dims, b dims, pairs, STAGE, split): a is the block of each in-place
+# branch, with 70 rows or 5 batches, of a split run, staged, of 240 rows in
+# chunks of 96, 96 and 48 rows, or of 60 rows, which 2 or 3 workers would
+# cut into pieces of 30 or 20, and of calls with fewer rows or batches
+# than the workers; swapping the operands makes b the block
+SPLIT_CASES = {
+    "s-is-1": ((7, 10, 5), (5, 6), [(2, 0)], None, True),
+    "p-is-1": ((5, 7, 10), (5, 6), [(0, 0)], None, True),
+    "batch": ((5, 64, 40), (64, 8), [(1, 0)], None, True),
+    "staged": ((2, 120, 3, 2), (2, 3, 5), [(0, 0), (2, 1)], 576, True),
+    "staged-unaligned": ((2, 120, 3, 2), (2, 3, 5), [(0, 0), (2, 1)], 360, False),
+    "20-rows": ((4, 5, 5), (5, 6), [(2, 0)], None, False),
+    "2-batches": ((2, 64, 40), (64, 8), [(1, 0)], None, True),
+}
+
+
+class TestSplitCalls:
+    """A call split across workers, one fixed piece each, against the same
+    call on one worker: the results are equal bit for bit."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("block_first", [True, False], ids=["block-a", "block-b"])
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_split_call_is_the_whole_call(self, rng, stage, split, case, block_first, count):
+        dims_a, dims_b, pairs, elements, splits = SPLIT_CASES[case]
+        if elements:
+            stage(elements)
+        split(1)
+        a, b = labelled(crandn(rng, *dims_a), "a"), labelled(crandn(rng, *dims_b), "b")
+        if not block_first:
+            a, b, pairs = b, a, [(j, i) for i, j in pairs]
+        g = plan_gemm(a.dims, b.dims, pairs)
+        assert g.block_is_a == block_first
+        assert (bool(g.stage), g.p > 1 and g.s > 1) == (case.startswith("staged"), "batch" in case)
+        expected = contract_pair(a, b, pairs)
+        workers = Threads(count)
+        result = contract_pair(a, b, pairs, workers=workers)
+        assert workers.runs == splits
+        assert result.labels == expected.labels
+        np.testing.assert_array_equal(result.data, expected.data)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_staged_rows_fewer_than_workers_run_whole(self, rng, split, count):
+        # 2 rows, paired on axes 0 and 2: a single-row piece would be
+        # multiplied as a vector
+        split(1)
+        a, b = labelled(crandn(rng, 3, 2, 4), "a"), labelled(crandn(rng, 3, 4, 2), "b")
+        pairs = [(0, 0), (2, 1)]
+        assert plan_gemm(a.dims, b.dims, pairs).stage == 2
+        workers = Threads(count)
+        result = contract_pair(a, b, pairs, workers=workers)
+        assert workers.runs == 0
+        np.testing.assert_array_equal(result.data, contract_pair(a, b, pairs).data)
+
+    def test_small_call_runs_whole(self, rng):
+        a, b = labelled(crandn(rng, *SPLIT_CASES["s-is-1"][0]), "a"), labelled(crandn(rng, 5, 6), "b")
+        workers = Threads(2)
+        contract_pair(a, b, [(2, 0)], workers=workers)
+        assert workers.runs == 0
+
+
+class TestWorkers:
+    """The threads of one amplitude and BLAS's thread count."""
+
+    def test_blas_runs_single_threaded_inside_and_gets_its_count_back(self):
+        blas = tensor._openblas()
+        before = blas[0]() if blas else None
+        threads = threading.active_count()
+        with tensor.Workers() as outer:
+            with tensor.Workers() as inner:
+                # an amplitude that starts inside another's workers reads
+                # the count BLAS was given, not the 1 it runs at
+                assert inner.count == outer.count == (before or 1)
+                if blas:
+                    assert blas[0]() == 1
+            if blas:
+                assert blas[0]() == 1
+            assert threading.active_count() == threads + outer.count - 1
+
+            def job(j):
+                if j == outer.count - 1:
+                    raise ValueError(j)
+
+            with pytest.raises(ValueError):
+                outer.run(job)
+            seen = []
+            outer.run(seen.append)
+            assert sorted(seen) == list(range(outer.count))
+        if blas:
+            assert blas[0]() == before
+        assert threading.active_count() == threads
