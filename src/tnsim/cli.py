@@ -28,9 +28,9 @@ from .circuit import (
     parse_circuit,
     serialize_circuit,
 )
-from .network import CutPlanError, compute_amplitude, overlap_shape, overlap_states
+from .network import compute_amplitude, overlap_shape, overlap_states, plan_cuts
 from .oracle import amplitude_oracle
-from .pathfind import PathSearchError, find_optimal_path
+from .pathfind import PathSearchError
 from .workload import (
     SYCAMORE_E1,
     SYCAMORE_E2,
@@ -175,8 +175,8 @@ def _cmd_path(args) -> int:
     circuit = _load_circuit(args.circuit)
     n = circuit.num_qubits
     phi, psi = overlap_states(circuit, "0" * n, "0" * n, args.split_cycle)
-    path, score = find_optimal_path(overlap_shape(phi, psi), args.max_rank)
-    _emit({"path": path, "score": str(score)})
+    plan = plan_cuts(overlap_shape(phi, psi), args.max_rank, [])
+    _emit({"path": list(plan.path), "score": str(plan.score)})
     return 0
 
 
@@ -228,7 +228,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_bits", required=True)
     p.add_argument("--out", dest="out_bits", required=True)
     p.add_argument("--cuts", default="auto", help="auto | none | k-l,k-l,...")
-    p.add_argument("--max-rank", type=int)
+    p.add_argument("--max-rank", type=int, help="rank cap: with --cuts auto, the search's "
+                   "start cap and each slice's target; held as given with explicit --cuts")
     p.add_argument("--split-cycle", type=int)
     p.add_argument("--timing", action="store_true", help="include wall_time_ms")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -244,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="contraction path for a circuit's overlap network")
     p.add_argument("-c", "--circuit", required=True)
-    p.add_argument("--max-rank", type=int)
+    p.add_argument("--max-rank", type=int, help="rank cap of the search, held as given")
     p.add_argument("--split-cycle", type=int)
     p.set_defaults(func=_cmd_path)
 
@@ -299,7 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         CircuitFormatError,
-        CutPlanError,
         PathSearchError,
         WorkloadError,
         ValueError,

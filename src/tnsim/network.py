@@ -48,7 +48,6 @@ from .tns import PHYS, TNSState, two_sided_evolve
 __all__ = [
     "StateOverlap",
     "CutPlan",
-    "CutPlanError",
     "overlap_states",
     "overlap_shape",
     "build_overlap_network",
@@ -60,10 +59,6 @@ __all__ = [
     "contract_along_path",
     "compute_amplitude",
 ]
-
-
-class CutPlanError(RuntimeError):
-    """Raised when no cut plan satisfies the rank cap."""
 
 
 @dataclass(frozen=True)
@@ -217,21 +212,24 @@ def plan_cuts(
     """Choose edges of the network of ``shape`` to slice so one slice fits
     the rank cap, and the path that contracts every slice.
 
-    Explicit edges (an empty list for no cuts) are kept verbatim, and the
-    path is searched on their slice shape, where they have extent 1, under
-    the cap (default ``treewidth_bound + 1``) without a state budget.
+    One search finds the path, on the searched shape: ``shape`` with any
+    explicit edges (kept verbatim; an empty list means no cuts) at extent
+    1.  It runs at the least cap that has a path: from ``target_max_rank``
+    (default ``treewidth_bound + 1``) up, one step at a time, each probe
+    held to ``PLANNER_STATE_BUDGET`` states until the cap reaches the edge
+    count and prunes nothing.  Given both explicit edges and a target, the
+    search runs once at the target, with no budget.
 
-    Automatic mode searches the uncut shape once at the least cap that has
-    a path: from ``target_max_rank`` (default ``treewidth_bound + 1``) up,
-    one step at a time, each probe held to ``PLANNER_STATE_BUDGET`` states
-    until the cap reaches the edge count and prunes nothing.  With no
-    target it cuts nothing.  With one, it cuts along that path: while an
-    intermediate (the first node included) has more than ``target_max_rank``
-    uncut edges of extent > 1, it cuts the edge open at the most such
-    intermediates, the lower edge on a tie.  ``score`` is the path's cost
-    per slice.
+    With no explicit edges and a target, the plan then cuts along that
+    path: while an intermediate (the first node included) has more than
+    ``target_max_rank`` uncut edges of extent > 1, it cuts the edge open at
+    the most such intermediates, the lower edge on a tie.  ``score`` is the
+    path's cost per slice.  A negative target raises ``ValueError``.
     """
-    cap = treewidth_bound(shape) + 1 if target_max_rank is None else target_max_rank
+    if target_max_rank is not None and target_max_rank < 0:
+        raise ValueError(f"rank cap {target_max_rank} is negative")
+    cuts: list[Edge] = []
+    searched = shape
     if explicit_edges is not None:
         cuts = [tuple(sorted(e)) for e in explicit_edges]
         for e in cuts:
@@ -239,36 +237,32 @@ def plan_cuts(
                 raise ValueError(f"cut edge {e} not in network")
         if len(set(cuts)) != len(cuts):
             raise ValueError("duplicate cut edges")
-        edges = {**shape.edges, **dict.fromkeys(cuts, 1)}
-        path, score = find_optimal_path(NetworkShape(shape.nodes, edges), cap)
-        return CutPlan(tuple(cuts), tuple(shape.edges[e] for e in cuts), tuple(path), score)
+        searched = NetworkShape(shape.nodes, {**shape.edges, **dict.fromkeys(cuts, 1)})
+    held = explicit_edges is not None and target_max_rank is not None
+    cap = treewidth_bound(shape) + 1 if target_max_rank is None else target_max_rank
     while True:
-        budget = PLANNER_STATE_BUDGET if cap < len(shape.edges) else None
+        budget = None if held or cap >= len(shape.edges) else PLANNER_STATE_BUDGET
         try:
-            path, _ = find_optimal_path(shape, cap, max_states=budget)
+            path, score = find_optimal_path(searched, cap, max_states=budget)
             break
         except PathSearchError:
             if budget is None:
                 raise
             cap += 1
-    # the open edges of each intermediate, from the first node on
-    opens = list(accumulate((shape.open_edges((q,)) for q in path[:-1]), xor))
-    cuts: list[Edge] = []
-    if target_max_rank is not None:
+    if explicit_edges is None and target_max_rank is not None:
+        # the open edges of each intermediate, from the first node on
+        opens = list(accumulate((shape.open_edges((q,)) for q in path[:-1]), xor))
         wide = [{e for e in s if shape.edges[e] > 1} for s in opens]
+        # a set above a cap >= 0 is never empty, so each pass cuts an edge
         while over := [s for s in wide if len(s) > target_max_rank]:
             counts = Counter(chain.from_iterable(over))
-            if not counts:
-                raise CutPlanError(
-                    f"rank cap {target_max_rank} unachievable even with {len(cuts)} cuts"
-                )
             cuts.append(min(counts, key=lambda e: (-counts[e], e)))
             for s in wide:
                 s.discard(cuts[-1])
-    ext = {**shape.edges, **dict.fromkeys(cuts, 1)}
-    score = sum(
-        prod(ext[e] for e in s | shape.open_edges((q,))) for s, q in zip(opens, path[1:])
-    )
+        ext = {**shape.edges, **dict.fromkeys(cuts, 1)}
+        score = sum(
+            prod(ext[e] for e in s | shape.open_edges((q,))) for s, q in zip(opens, path[1:])
+        )
     return CutPlan(tuple(cuts), tuple(shape.edges[e] for e in cuts), tuple(path), score)
 
 
@@ -970,8 +964,8 @@ def compute_amplitude(
     """Full single-amplitude pipeline.
 
     two states -> the overlap network's shape -> cut plan, whose one path
-    search on slice 0 is reused for every slice -> that path compiled once
-    into a program, layering its costliest qubit steps where that pays
+    search gives every slice's path -> that path compiled once into a
+    program, layering its costliest qubit steps where that pays
     (``_compile``, or the program an earlier amplitude of the same shape
     compiled) -> the network (``build_overlap_network``) -> sum of its
     slices' scalars, every slice's results written into one workspace and

@@ -16,7 +16,6 @@ import tnsim.network
 from tnsim.circuit import Circuit, CircuitGraph, Gate, cz_matrix, parse_circuit
 from tnsim.cli import main
 from tnsim.oracle import amplitude_oracle
-from tnsim.pathfind import find_optimal_path
 from tnsim.workload import ErrorModel, WorkloadError, estimate_workload
 
 
@@ -214,6 +213,12 @@ class TestAmplitude:
         b = complex(*json.loads(out_cut)["amplitude"])
         assert json.loads(out_none)["slice_count"] == 1
         assert a == pytest.approx(b, abs=1e-10)
+
+    def test_negative_cap_is_refused(self, capsys, circuit_file):
+        argv = base_argv("amplitude", circuit_file) + ["--max-rank", "-1"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == '{"error": "ValueError: rank cap -1 is negative"}\n'
 
     def test_missing_file_is_json_error(self, capsys, tmp_path):
         rc, _, err = run(
@@ -443,8 +448,11 @@ class TestPath:
         with open(circuit_file, "rb") as fh:
             circuit = parse_circuit(fh.read())
         phi, psi = tnsim.network.overlap_states(circuit, "0000", "0000")
-        path, score = find_optimal_path(tnsim.network.overlap_shape(phi, psi))
-        expected = json.dumps({"path": path, "score": str(score)}, sort_keys=True)
+        # the path that `amplitude --cuts none` contracts
+        plan = tnsim.network.plan_cuts(tnsim.network.overlap_shape(phi, psi), None, [])
+        expected = json.dumps(
+            {"path": list(plan.path), "score": str(plan.score)}, sort_keys=True
+        )
 
         def no_nodes(*args):
             raise AssertionError("path built a node tensor")
@@ -458,6 +466,11 @@ class TestPath:
         rc, _, err = run(capsys, ["path", "-c", circuit_file, "--max-rank", "0"])
         assert rc == 1
         assert "PathSearchError" in json.loads(err)["error"]
+
+    def test_negative_cap_is_refused(self, capsys, circuit_file):
+        rc, _, err = run(capsys, ["path", "-c", circuit_file, "--max-rank", "-1"])
+        assert rc == 1
+        assert err == '{"error": "ValueError: rank cap -1 is negative"}\n'
 
 
 class TestEstimateWorkloadCommand:

@@ -20,7 +20,6 @@ from tnsim.circuit import (
 )
 from tnsim.network import (
     PLANNER_STATE_BUDGET,
-    CutPlanError,
     StateOverlap,
     build_overlap_network,
     compile_program,
@@ -32,7 +31,12 @@ from tnsim.network import (
     slice_network,
 )
 from tnsim.oracle import amplitude_oracle
-from tnsim.pathfind import NetworkShape, find_optimal_path, treewidth_bound
+from tnsim.pathfind import (
+    NetworkShape,
+    PathSearchError,
+    find_optimal_path,
+    treewidth_bound,
+)
 from tnsim.tensor import Gemm, Tensor, contraction_cost, gemm_time, plan_gemm
 from tnsim.tns import init_state, two_sided_evolve
 
@@ -206,10 +210,7 @@ class TestPlanCuts:
         # what `tnsim gen --lattice square --size 9 --depth 4` writes
         circuit = generate_rqc(generate_lattice("square", 3, 3), 4, seed=0)
         shape = shape_of(overlap_net(circuit, "000000000", "010101010"))
-        try:
-            plan = plan_cuts(shape, target_max_rank=cap)
-        except CutPlanError:
-            return
+        plan = plan_cuts(shape, target_max_rank=cap)
         sliced = slice_shape(shape, plan.cut_edges)
         assert compile_program(sliced, list(plan.path)).peak_rank <= cap
 
@@ -225,11 +226,14 @@ class TestPlanCuts:
         with pytest.raises(ValueError, match="duplicate"):
             plan_cuts(shape, explicit_edges=[(0, 1), (1, 0)])
 
-    def test_impossible_cap_raises_with_best_plan(self):
+    @pytest.mark.parametrize(
+        "explicit", [None, [], [(0, 1)]], ids=["auto", "none", "explicit"]
+    )
+    def test_negative_cap_is_refused(self, explicit):
         graph = generate_lattice("square", 2, 3)
         net = overlap_net(generate_rqc(graph, 4, seed=4), "000000", "111111")
-        with pytest.raises(CutPlanError, match="unachievable"):
-            plan_cuts(shape_of(net), target_max_rank=-1)
+        with pytest.raises(ValueError, match="rank cap -1 is negative"):
+            plan_cuts(shape_of(net), -1, explicit)
 
 
 class TestSliceNetwork:
@@ -374,9 +378,10 @@ class TestComputeAmplitude:
         graph = generate_lattice("square", 2, 3)
         c = generate_rqc(graph, 4, seed=3)
         stats = compute_amplitude(c, "0" * 6, "1" * 6, cuts=cuts)
-        if cuts == "auto":  # no cuts needed: the first budgeted probe succeeds
+        if cuts == "auto":  # no cuts needed
             assert stats.slice_count == 1
-        assert budgets == [PLANNER_STATE_BUDGET if cuts == "auto" else None]
+        # every mode runs one search: the first budgeted probe succeeds
+        assert budgets == [PLANNER_STATE_BUDGET]
 
     def test_cuts_of_extent_one_give_one_slice(self):
         # a cz on |11> leaves product states: every bond has extent 1
@@ -532,6 +537,21 @@ class TestSearchOnOverlapNetworks:
         assert list(plan.path) == path
         assert len(plan.cut_edges) == 6
         assert plan.slice_count == 524_288
+
+    def test_sycamore_6x6_d8_explicit_cuts_raise_the_cap(self):
+        # `--cuts none` plans what the default plans: cap 5, no cuts
+        shape = lattice_overlap_shape("sycamore-like", 6, 6, 8)
+        assert plan_cuts(shape, None, []) == plan_cuts(shape)
+        # an explicit cut leaves no path at 4 either: the cap rises to 5
+        plan = plan_cuts(shape, None, [(0, 6)])
+        sliced = slice_shape(shape, plan.cut_edges)
+        assert plan.cut_edges == ((0, 6),)
+        assert max(intermediate_ranks(sliced, plan.path)) == 5
+        assert (list(plan.path), plan.score) == find_optimal_path(sliced, 5)
+        # a cap given with the cuts is held as given
+        for cuts in ([], [(0, 6)]):
+            with pytest.raises(PathSearchError, match="no full contraction path"):
+                plan_cuts(shape, 4, cuts)
 
 
 def random_grid_network(rng, rows: int, cols: int, extents=(2, 5)) -> TensorNetwork:
