@@ -755,7 +755,7 @@ def _layered_shape(
 # circuit's amplitudes share their cuts, path and bond extents, whatever
 # their out-strings, and so one program.
 PROGRAMS = 8
-_programs: dict[tuple, ContractionProgram] = {}
+_programs: dict[tuple, ContractionProgram | None] = {}
 _programs_lock = threading.Lock()
 
 
@@ -765,21 +765,30 @@ def _compile(
     psi: TNSState,
     path: list[int],
     cut_edges: tuple[Edge, ...],
-) -> ContractionProgram:
-    """The merged program of ``path`` on the slice shape ``shape``, or the
-    program that layers the qubits ``_layer_orders`` picks when it fits
-    the merged program's peak and its estimated time is lower.
+    peak_bound: int | None = None,
+) -> ContractionProgram | None:
+    """Without ``peak_bound``, the merged program of ``path`` on the slice
+    shape ``shape``, or the program that layers the qubits
+    ``_layer_orders`` picks when it fits the merged program's peak and its
+    estimated time is lower.  With it, the layered program within the
+    bound, else the merged one within it, else None.
 
-    Memoised on the shape's nodes and extents, the path, the cut edges and
-    both states' bond extents, for the ``PROGRAMS`` most recently used."""
+    Memoised on the shape's nodes and extents, the path, the cut edges,
+    both states' bond extents and the bound, for the ``PROGRAMS`` most
+    recently used."""
     key = (
         shape.nodes, tuple(shape.edges.items()), tuple(path), cut_edges,
-        tuple(phi.bond_dims.items()), tuple(psi.bond_dims.items()),
+        tuple(phi.bond_dims.items()), tuple(psi.bond_dims.items()), peak_bound,
     )
     with _programs_lock:
+        cached = key in _programs
         program = _programs.pop(key, None)
-    if program is None:
-        program = _compile_afresh(shape, phi, psi, path, cut_edges)
+    if not cached:
+        program = (
+            _compile_afresh(shape, phi, psi, path, cut_edges)
+            if peak_bound is None
+            else _compile_within(shape, phi, psi, path, cut_edges, peak_bound)
+        )
     with _programs_lock:
         _programs[key] = program
         while len(_programs) > PROGRAMS:
@@ -806,6 +815,26 @@ def _compile_afresh(
     if layered is None or layered.time >= program.time:
         return program
     return layered
+
+
+def _compile_within(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+    peak_bound: int,
+) -> ContractionProgram | None:
+    orders = _layer_orders(shape, phi, psi, path, cut_edges)
+    if orders:
+        layered = compile_program(
+            _layered_shape(shape, phi, psi, frozenset(orders)),
+            [v for q in path for v in orders.get(q, (q,))],
+            peak_bound,
+        )
+        if layered is not None:
+            return layered
+    return compile_program(shape, path, peak_bound)
 
 
 def _absorb(
@@ -953,6 +982,57 @@ def overlap_states(
     return two_sided_evolve(fused, in_bits, out_bits, split_cycle)
 
 
+# A run of more than one slice compiles the program it runs on every slice
+# within 1 / SLICE_SHARE of the peak of the program it would run otherwise,
+# so that as many slices as fit in that peak run at once, one per worker.
+# Measured on sliced-sq16-d10 with OpenBLAS on 2 cores, bench/run.py
+# --seed 1 in alternating runs: one slice at a time (each large call split
+# across the workers) against 1/3 in 10 pairs of 50 s, and 1/2 against 1/3
+# in 3 pairs of 25 s, where 1/3 read 0.51-0.59 s:
+#
+#   bound   wall_s      peak_rss_mb   output
+#   none    0.46-0.72   47.9-48.1
+#   1/3     0.39-0.60   45.0-45.3     the same bytes
+#   1/2     0.49-0.55   51.2-51.3     last bits moved on all 8 out-strings
+SLICE_SHARE = 3
+
+
+def _slices_at_once(whole: ContractionProgram, program: ContractionProgram, count: int) -> int:
+    """How many slices on ``program`` run at once, one per worker of
+    ``count``: as many as fit in the peak of ``whole``, the program the run
+    would use otherwise."""
+    return min(count, whole.peak_elements // program.peak_elements)
+
+
+def _contract_slices(
+    net: StateOverlap,
+    plan: CutPlan,
+    program: ContractionProgram,
+    workspace: np.ndarray,
+    workers: Workers,
+    k: int,
+) -> list[complex]:
+    """Every slice's scalar, in slice order, ``k`` slices at once: worker
+    j < k contracts one contiguous range of slices in part j of
+    ``workspace``, each part ``program.workspace`` long, and runs each call
+    whole.  Each worker holds its cut endpoints in its own copy of
+    ``net``'s held nodes, so that it does not rebuild them for every slice
+    after another worker's."""
+    n, size = plan.slice_count, program.workspace
+    scalars = [0j] * n
+
+    def contract(j: int) -> None:
+        if j >= k:
+            return
+        own = dataclasses.replace(net, held=dict(net.held))
+        part = workspace[j * size:(j + 1) * size]
+        for s in range(n * j // k, n * (j + 1) // k):
+            scalars[s] = contract_along_path(slice_network(own, plan, s), program, workspace=part)
+
+    workers.run(contract)
+    return scalars
+
+
 def compute_amplitude(
     circuit: Circuit,
     in_bits: str,
@@ -968,13 +1048,22 @@ def compute_amplitude(
     program, layering its costliest qubit steps where that pays
     (``_compile``, or the program an earlier amplitude of the same shape
     compiled) -> the network (``build_overlap_network``) -> sum of its
-    slices' scalars, every slice's results written into one workspace and
-    its large calls split across the amplitude's ``Workers``.
+    slices' scalars, in slice order.
     Only then is a node built: up front, in qubit order, each node that no
     cut edge touches when there are cuts; every other node when its step
     reads it, a cut endpoint at its slice's size, rebuilt only when the
     values of its cut edges change.  ``cuts`` is "auto", None (no cuts) or
     a list of edges.
+
+    With one slice, every result is written into one workspace, and each
+    large call splits across the amplitude's ``Workers``.  With more, every
+    slice runs on a program compiled within ``1 / SLICE_SHARE`` of that
+    one's peak where one fits, and the workers take whole slices, as many
+    at once as fit in that peak (``_slices_at_once``), each slice in its
+    worker's own workspace; otherwise the slices run one at a time, as the
+    one slice does.  The program does not depend on the worker count, and
+    the scalars are summed in slice order, so the output is the same at
+    any thread count.
 
     ``path_score`` is the program's multiplies per slice, the search's
     score unless a qubit is layered.
@@ -986,24 +1075,32 @@ def compute_amplitude(
     plan = plan_cuts(shape, max_rank, explicit)
     path = list(plan.path)
     edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
-    program = _compile(NetworkShape(shape.nodes, edges), phi, psi, path, plan.cut_edges)
+    sliced = NetworkShape(shape.nodes, edges)
+    whole = program = _compile(sliced, phi, psi, path, plan.cut_edges)
+    if plan.slice_count > 1:
+        bound = whole.peak_elements // SLICE_SHARE
+        program = _compile(sliced, phi, psi, path, plan.cut_edges, bound) or whole
     net = build_overlap_network(phi, psi, program, plan.cut_edges)
-    # dead cycles (the DP's tuples after a compile, about 1 MB on square
-    # 3x3 d12) hold heap memory until a full collection, and a large
-    # workspace goes above them: without this, peak RSS rose by 0.47 MB
-    # over 40 sliced-sq16-d10 amplitudes in one process, against 0.06 MB
-    # with it.  A collection takes 7 ms or more, so small workspaces go
-    # without.
-    if program.workspace > STAGE:
-        gc.collect()
-    workspace = np.empty(program.workspace, dtype=np.complex128)
     with Workers() as workers:
-        total = sum(
-            contract_along_path(
-                slice_network(net, plan, s), program, workspace=workspace, workers=workers
+        k = _slices_at_once(whole, program, workers.count)
+        # dead cycles (the DP's tuples after a compile, about 1 MB on square
+        # 3x3 d12) hold heap memory until a full collection, and a large
+        # workspace goes above them: without this, peak RSS rose by 0.47 MB
+        # over 40 sliced-sq16-d10 amplitudes in one process, against 0.06 MB
+        # with it.  A collection takes 7 ms or more, so small workspaces go
+        # without.
+        if k * program.workspace > STAGE:
+            gc.collect()
+        workspace = np.empty(k * program.workspace, dtype=np.complex128)
+        if k > 1:
+            total = sum(_contract_slices(net, plan, program, workspace, workers, k))
+        else:
+            total = sum(
+                contract_along_path(
+                    slice_network(net, plan, s), program, workspace=workspace, workers=workers
+                )
+                for s in range(plan.slice_count)
             )
-            for s in range(plan.slice_count)
-        )
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
         total,

@@ -306,7 +306,9 @@ _blas_threads = 1
 
 
 class Workers:
-    """The workers that split one amplitude's large ``contract_pair`` calls.
+    """The workers of one amplitude: they split its large ``contract_pair``
+    calls, or in a cut run take whole slices (``compute_amplitude``), with
+    the same result at any count.
 
     Entered, ``count`` is the thread count BLAS was given, and BLAS runs
     single-threaded: the calling thread is worker 0, and ``count - 1``

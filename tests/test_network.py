@@ -422,9 +422,13 @@ class TestComputeAmplitude:
         self, monkeypatch, rows, depth, cuts
     ):
         # a cut endpoint is built per slice at the slice's size, so only the
-        # nodes no cut edge touches are held beside the program's live set
+        # nodes no cut edge touches are held beside the live sets of the
+        # slices that run at once, which together fit the peak of the
+        # program that runs one slice at a time
         n = rows * rows
         c = generate_rqc(generate_lattice("square", rows, rows), depth, seed=1)
+        compiled = returns(monkeypatch, "_compile")
+        at_once = returns(monkeypatch, "_slices_at_once")
         nets, programs = [], []
         build, run = network.build_overlap_network, network.contract_along_path
         monkeypatch.setattr(
@@ -448,7 +452,9 @@ class TestComputeAmplitude:
         free = sum(
             t.data.size for q, (_, t) in net.held.items() if (q if q >= 0 else ~q) not in ends
         )
-        assert peak <= (programs[0].peak_elements + free) * 16 + 2**20
+        whole, (k,) = compiled[0], at_once
+        assert k * programs[0].peak_elements <= whole.peak_elements
+        assert peak <= (whole.peak_elements + free) * 16 + 2**20
 
     def test_cut_edges_sharing_an_endpoint(self):
         # node 4 carries all three cut edges
@@ -876,6 +882,16 @@ def run_with_program(monkeypatch, circuit, out, cuts):
     return stats, programs[0]
 
 
+def returns(monkeypatch, name: str) -> list:
+    """What each call of ``network.<name>`` returns, in call order."""
+    got = []
+    fn = getattr(network, name)
+    monkeypatch.setattr(
+        network, name, lambda *args, **kwargs: got.append(r := fn(*args, **kwargs)) or r
+    )
+    return got
+
+
 def nrank(t: Tensor) -> int:
     return sum(1 for d in t.dims if d > 1)
 
@@ -1046,16 +1062,20 @@ class TestProgramCache:
 
     circuit = TestLayeredRuns.circuit
 
-    @pytest.mark.parametrize("cuts", [None, [(0, 1)]], ids=["uncut", "cut-0-1"])
-    def test_second_amplitude_compiles_nothing(self, monkeypatch, cuts):
+    # merged, then with qubit 4 layered; cut, then both again within a
+    # third of the peak, where neither fits
+    @pytest.mark.parametrize(
+        "cuts, compiles", [(None, 2), ([(0, 1)], 4)], ids=["uncut", "cut-0-1"]
+    )
+    def test_second_amplitude_compiles_nothing(self, monkeypatch, cuts, compiles):
         calls = compile_calls(monkeypatch)
         compute_amplitude(self.circuit, "0" * 9, "010101010", cuts=cuts)
-        assert len(calls) == 2  # merged, then with qubit 4 layered
+        assert len(calls) == compiles
         cached = compute_amplitude(self.circuit, "0" * 9, "110010011", cuts=cuts)
-        assert len(calls) == 2
+        assert len(calls) == compiles
         network._programs.clear()
         fresh = compute_amplitude(self.circuit, "0" * 9, "110010011", cuts=cuts)
-        assert len(calls) == 4
+        assert len(calls) == 2 * compiles
         assert cached.record(timing=False) == fresh.record(timing=False)
 
     def test_other_extents_miss(self, monkeypatch):
@@ -1075,7 +1095,9 @@ class TestProgramCache:
         c = generate_rqc(generate_lattice("square", 3, 3), 4, seed=1)
         for cuts in (None, None, [(0, 1)], None):
             compute_amplitude(c, "0" * 9, "010101010", cuts=cuts)
-        assert len(calls) == 3
+        # the cut run's two programs, without and with a bound, evict
+        # the uncut one and then each other
+        assert len(calls) == 4
         assert len(network._programs) == 1
 
 
@@ -1112,13 +1134,14 @@ class TestWorkspace:
         assert workspaces[0] is not workspaces[1]
 
     def test_threads_keep_their_own_workspace_and_programs(self, monkeypatch):
-        # more threads than cores, each alternating two shapes through a
-        # one-program cache and splitting its calls across its own workers:
-        # a shared workspace, a lost cache update or a split that changes a
-        # GEMM would change an amplitude or raise
+        # more threads than cores, each alternating shapes through a
+        # one-program cache and splitting its calls, or its slices, across
+        # its own workers: a shared workspace, a lost cache update or a
+        # split that changes a GEMM would change an amplitude or raise
         monkeypatch.setattr(network, "PROGRAMS", 1)
         jobs = [(self.circuit, None), (self.circuit, [(0, 1)]),
-                (generate_rqc(generate_lattice("square", 3, 3), 6, seed=2), None)]
+                (generate_rqc(generate_lattice("square", 3, 3), 6, seed=2), None),
+                (TestSlicesAtOnce.circuit, [(1, 4)])]
         expected = [compute_amplitude(c, "0" * 9, "010101010", cuts=k).amplitude for c, k in jobs]
         monkeypatch.setattr(tensor, "SPLIT", 1)
         splits = []
@@ -1152,3 +1175,83 @@ class TestWorkspace:
         if blas:
             assert blas[0]() == before
             assert splits or before == 1
+
+
+# as imported, before any test patches them
+openblas, contract_slices = tensor._openblas, network._contract_slices
+
+
+class TestSlicesAtOnce:
+    """A cut run's program fits a third of the peak of the one it would
+    run otherwise where one does, and its workers take whole slices, as
+    many at once as fit that peak."""
+
+    # square 3x3 d10 cut on (1, 4): 16 slices of 4.6M multiplies, in a
+    # program that peaks at 41,984 elements against 143,360
+    circuit = generate_rqc(generate_lattice("square", 3, 3), 10, seed=1)
+
+    @staticmethod
+    def run_on(monkeypatch, count: int, circuit, out: str, **kwargs):
+        """``compute_amplitude`` with BLAS reporting ``count`` threads, and
+        the slice count of each ``_contract_slices`` call."""
+        blas = openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS to take a thread count from")
+        get, set_ = blas
+        before = get()
+        monkeypatch.setattr(tensor, "_openblas", lambda: (lambda: count, set_))
+        ks = []
+        monkeypatch.setattr(
+            network, "_contract_slices",
+            lambda *args: ks.append(args[-1]) or contract_slices(*args),
+        )
+        try:
+            stats = compute_amplitude(circuit, "0" * len(out), out, **kwargs)
+        finally:
+            set_(before)
+        return stats, ks
+
+    def test_output_is_the_same_at_any_worker_count(self, monkeypatch):
+        results = returns(monkeypatch, "contract_pair")
+        programs = returns(monkeypatch, "_compile")
+        runs = []
+        for count in (1, 2, 3):
+            results.clear()
+            runs.append(
+                self.run_on(monkeypatch, count, self.circuit, "010101010", cuts=[(1, 4)])
+            )
+            # every result in one workspace, of one part per slice at once
+            (workspace,) = {id(owner(r.data)): owner(r.data) for r in results}.values()
+            assert workspace.size == count * programs[-1].workspace
+        # one slice at a time, then two and three at once
+        assert [ks for _, ks in runs] == [[], [2], [3]]
+        one = runs[0][0]
+        assert one.slice_count == 16
+        assert [s.record(timing=False) for s, _ in runs[1:]] == [one.record(timing=False)] * 2
+        ref = amplitude_oracle(self.circuit, "0" * 9, "010101010")
+        assert one.amplitude == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("rows, depth, seed, cuts, max_rank, slices, k", [
+        # every edge cut: 65,536 slices of a few multiplies each
+        (3, 4, 0, "auto", 0, 65536, 1),
+        # no program fits a third of the layered program's peak
+        (3, 12, 1, [(0, 1)], None, 32, 1),
+        # 76.9M multiplies a slice, in 258,560 elements against 786,944
+        (4, 10, 1, [(5, 6)], None, 32, 2),
+    ], ids=["every-edge", "sq9-d12-cut-0-1", "sq16-d10-cut-5-6"])
+    def test_slices_at_once_on_two_workers(
+        self, monkeypatch, rows, depth, seed, cuts, max_rank, slices, k
+    ):
+        # shape-sized: every slice contracts to 0
+        threads = set()
+        monkeypatch.setattr(
+            network, "contract_along_path",
+            lambda *args, **kwargs: threads.add(threading.get_ident()) or 0j,
+        )
+        n = rows * rows
+        c = generate_rqc(generate_lattice("square", rows, rows), depth, seed=seed)
+        out = "01" * (n // 2) + "0" * (n % 2)
+        stats, ks = self.run_on(monkeypatch, 2, c, out, cuts=cuts, max_rank=max_rank)
+        assert stats.slice_count == slices
+        assert ks == ([k] if k > 1 else [])
+        assert len(threads) == k
