@@ -326,9 +326,10 @@ class Step:
 class Window(NamedTuple):
     """Steps ``start`` to ``stop`` (inclusive) run once per block of the
     accumulator axis ``axis``, which none of their nodes carries, cut into
-    ``blocks`` equal blocks of extent 2 or more.  Each block is read with
-    ``axis`` moved to the front (a view when it already leads), and each
-    block's result is written into the window's output."""
+    ``blocks`` equal blocks, of one index each when ``blocks`` is the
+    axis's extent.  Each block is read with ``axis`` moved to the front (a
+    view when it already leads), and each block's result is written into
+    the window's output."""
 
     start: int
     stop: int
@@ -390,8 +391,7 @@ def _rank(labels, ext: dict) -> int:
 def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: bool):
     """The ways to absorb a node with edges ``legs`` into an accumulator
     whose axes are in the order ``layout``: per operand order, (node first,
-    copied elements, held elements, estimated time in multiplies, and each
-    (node axis order, result layout) it can give).
+    copied elements, held elements, estimated time in multiplies).
 
     A step copies the accumulator when its paired axes are not one run of
     it, so that it is staged, or when it is the matrix operand and is
@@ -404,7 +404,6 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: 
     """
     shared = tuple(lab for lab in layout if lab in legs)
     free = tuple(lab for lab in legs if lab not in shared)
-    rest = tuple(lab for lab in layout if lab not in shared)
     dims_acc = [ext[lab] for lab in layout]
     acc = prod(dims_acc)
     pairs = [(layout.index(lab), i) for i, lab in enumerate(shared)]
@@ -413,7 +412,6 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: 
     # the node's paired axes lead it in the accumulator's order, so the
     # plan does not depend on the order of its free axes
     dims_node = [ext[lab] for lab in shared + free]
-    orders = list(permutations(free))
     plans = []
     for node_first in (False, True) if narrow else (False,):
         if node_first:
@@ -427,9 +425,8 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: 
             held = copied + buffer
         else:  # the accumulator is the block, copied where a split run stages it
             copied, held, work = acc if split else 0, buffer, gemm_time(g)
-        outs = [(shared + o, o + rest if node_first else rest + o) for o in orders]
-        plans.append((node_first, copied, held, work, outs))
-    return plans
+        plans.append((node_first, copied, held, work))
+    return tuple(plans)
 
 
 def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
@@ -440,11 +437,11 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
     Step ``t`` runs unchunked only where ``plain[t]``; it may also open a
     window of ``starts[t]``, which reads its blocks with the window's axis
     moved to the front (``COPY`` per element unless it leads already), or
-    run in the window open before it.  A move may copy, and hold, at most
-    ``room(t, window)`` elements beside its live set.  Its time is its
-    ``_moves`` estimate and ``CALL``, once per block; the node may go first
-    only where ``narrow[t]``.  A DP over (accumulator axis order, open
-    window), memoised per step.
+    run in the window open before it.  ``room(t, window)`` gives the most
+    elements a move may copy, and the most it may hold, beside its live
+    set.  Its time is its ``_moves`` estimate and ``CALL``, once per block;
+    the node may go first only where ``narrow[t]``.  A DP over (accumulator
+    axis order, open window), memoised per step.
 
     The cost is (copied elements, time), and ``moves`` caches each step's
     moves from a layout, in or out of a window, across calls.  When
@@ -471,24 +468,28 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
             for w, lay, read in options:
                 blocks = w.blocks if w else 1
                 after = None if w is None or w.stop == t else w
-                most = rooms.get(w)
-                if most is None:
-                    most = rooms[w] = room(t, w)
+                if w not in rooms:
+                    rooms[w] = room(t, w)
+                most_copied, most_held = rooms[w]
                 chunk = (lay, t, w and (w.axis, blocks))
                 if chunk not in moves:
                     e = {**ext, w.axis: ext[w.axis] // blocks} if w else ext
                     moves[chunk] = _moves(lay, legs[q], e, narrow[t])
-                for node_first, copied, held, work, outs in moves[chunk]:
-                    # a staged step holds only its buffer but gets room for
-                    # its whole copy: on square 4x4 d11 with qubits 6, 9 and
-                    # 10 layered, the windows the buffer alone allows (4 and
-                    # 8 blocks, peak 7.34M elements) ran no faster than 8
-                    # and 16 blocks (peak 4.20M)
-                    if max(copied, held) > most:
+                shared = tuple(lab for lab in lay if lab in legs[q])
+                free = tuple(lab for lab in legs[q] if lab not in shared)
+                rest = tuple(lab for lab in lay if lab not in shared)
+                for node_first, copied, held, work in moves[chunk]:
+                    # a staged step holds only its buffer but mostly gets
+                    # room for its whole copy: on square 4x4 d11 with qubits
+                    # 6, 9 and 10 layered, the windows the buffer alone
+                    # allows (4 and 8 blocks, peak 7.34M elements) ran no
+                    # faster than 8 and 16 blocks (peak 4.20M)
+                    if copied > most_copied or held > most_held:
                         continue
                     c = (0 if bounded else cost[0] + copied * blocks,
                          cost[1] + (work + CALL) * blocks + read)
-                    for labels, result in outs:
+                    for o in permutations(free):
+                        labels, result = shared + o, o + rest if node_first else rest + o
                         key = (result, after)
                         old = best.get(key)
                         if old is None or c < old[0]:
@@ -537,19 +538,21 @@ def compile_program(
     keeping the ``BEAM`` least-time states per open window after each step,
     and the result is None when there are none.  A step that cannot run
     unchunked within the bound may open a window of either of the two
-    fewest block counts that hold it, whatever its cost; only where that
-    finds no program may a step whose accumulator a copy would not fit
-    beside open one too.
+    fewest block counts that hold it, with blocks of extent 2 or more,
+    whatever its cost, and a staged step needs room for its whole copy.
+    Only where that finds no program may a step whose accumulator a copy
+    would not fit beside open one too.  Only where that finds none may a
+    window's blocks be single indices and a staged step have room for just
+    its buffer, so that a bound at a program's own peak finds one.
 
-    Windows then lower the peak live set.  The program is the one with the
-    lowest ``peak_elements`` that copies no more than the least-cost one
-    and whose estimated time exceeds the least-cost one's by at most
-    ``WINDOW_SLACK`` of the multiplies in its windows.  Each bound below
-    the least-cost one's is tried by the same DP.  It allows each window
-    that fits its slack with the fewest blocks that hold the bound, and on
-    a span that the least-cost program chunks, the two fewest that hold
-    it.  A binary search over the candidate bounds finds the lowest
-    that fits.
+    Windows then lower the peak live set by a descent: from the least-cost
+    program, the DP runs again below the peak of the last program it
+    accepted, offering the windows that fit their slack with the fewest
+    blocks that hold the bound, and on a span that the least-cost program
+    chunks, the two fewest, one-index blocks included.  It accepts a result
+    that copies no more than the least-cost one and whose estimated time
+    exceeds the least-cost one's by at most ``WINDOW_SLACK`` of the
+    multiplies in its windows; the first it cannot accept ends it.
     """
     if sorted(path) != sorted(shape.nodes):
         raise ValueError("path is not a permutation of the network's qubits")
@@ -564,7 +567,8 @@ def compile_program(
         prod(ext[e] for e in opens[t].union(legs[q])) for t, q in enumerate(path[1:])
     ]
     widest = max((_rank(o, ext) for o in opens[1:]), default=0)
-    # a window's blocks have extent 2 or more, so it keeps every rank
+    # a block in a window has its intermediate's rank, or one less where
+    # blocks have extent 1, so no rank rises above these
     narrow = [
         max(_rank(opens[t], ext), _rank(legs[q], ext)) <= widest
         for t, q in enumerate(path[1:])
@@ -582,6 +586,10 @@ def compile_program(
 
     def peak_of(w: Window) -> int:
         return max(live(k, w) for k in range(w.start, w.stop + 1))
+
+    def peak(picked) -> int:
+        """The largest live set of the moves ``picked``, with what each holds."""
+        return max((live(t, w) + h for t, (*_, w, _, h) in enumerate(picked)), default=sizes[0])
 
     def share(t: int, w: Window | None) -> int:
         """Step ``t``'s results in the workspace: its input and result, or
@@ -609,18 +617,22 @@ def compile_program(
                     break
                 spans[i, j, x] = [
                     Window(i, j, x, b)
-                    for b in range(2, ext[x] // 2 + 1)
+                    for b in range(2, ext[x] + 1)
                     if ext[x] % b == 0
                 ]
     moves: dict = {}
 
-    def within(bound, free=frozenset(), wide=False):
+    def within(bound, free=frozenset(), wide=False, fine=frozenset(), whole=True):
         """The least-cost program whose peak is at most ``bound``.
 
         A window on a span in ``free`` is offered with the two fewest block
         counts that hold the bound; any other only where it fits its slack,
-        with the fewest blocks that hold it.
+        with the fewest blocks that hold it.  Only a span in ``fine`` may
+        be cut into blocks of one index.  A staged step needs room for its
+        whole copy when ``whole``, else only for the buffer it holds.
         """
+        if sizes[0] > bound:  # step 0's live set holds the first node
+            return None
         plain = [e <= bound for e in elements]
         # a window may serve a step that cannot run unchunked, or, when
         # ``wide``, one whose accumulator a copy would not fit beside
@@ -628,7 +640,9 @@ def compile_program(
         starts = [[] for _ in range(m)]
         covered = set()
         for span, ws in spans.items():
-            i, j, _ = span
+            i, j, x = span
+            if span not in fine:
+                ws = [w for w in ws if w.blocks < ext[x]]
             if any(tight[i:j + 1]):
                 if span in free:
                     # more blocks add calls: on amp-sq16-d11, square 3x3
@@ -644,37 +658,38 @@ def compile_program(
             return None
         return _search(
             path, legs, ext, narrow, plain, starts, moves,
-            lambda t, w: bound - live(t, w), bounded,
+            lambda t, w: (bound - live(t, w) if whole else math.inf, bound - live(t, w)),
+            bounded,
         )
 
     if bounded:
-        # the wide offers cost many more DP states: only where the narrow
-        # ones find no program, as on square 3x3 d12 with qubit 4 layered
-        found = within(peak_bound, spans) or within(peak_bound, spans, wide=True)
+        # each offer only where those before find no program: wide offers
+        # cost many more DP states (square 3x3 d12 with qubit 4 layered
+        # needs them), one-index blocks lead to windows that cannot narrow
+        # (square 4x4 d10: peak 1.72M -> 3.15M elements), and the last finds
+        # a program at its own peak (amp's layered shape at 2.76M elements)
+        found = (
+            within(peak_bound, spans)
+            or within(peak_bound, spans, wide=True)
+            or within(peak_bound, spans, wide=True, fine=spans, whole=False)
+        )
         if found is None:
             return None
     else:
         found = within(math.inf)
     (copied, est), _, picked = found
     kept = frozenset(w[:3] for _, _, w, _, _ in picked if w)
-    offered = (w for span, ws in spans.items() for w in ws if span in kept or cheap(w))
-    # each live set of a step or an offered window, alone or beside a
-    # staging buffer, below the bound; with none, below the largest step,
-    # at which every step runs unchunked
-    lives = {*elements, *map(peak_of, offered)}
-    top = max(elements, default=0) if peak_bound is None else peak_bound
-    bounds = sorted(b for b in {v + extra for v in lives for extra in (0, STAGE)} if b < top)
-    lo, hi = 0, len(bounds)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        chunked = within(bounds[mid], kept)
+    while True:
+        # wide offers: a step's live set may hold the bound while no move's
+        # copy fits beside it; without them, the unbounded compiles of
+        # square 3x3 d8 (calls and reads free) and d12 kept no window
+        chunked = within(peak(found[2]) - 1, kept, wide=True, fine=kept)
         # no more copies, and windows that fit their slack
-        if chunked and chunked[0][0] == copied and chunked[0][1] <= est + sum(
+        if not chunked or chunked[0][0] != copied or chunked[0][1] > est + sum(
             slack(w.start, w.stop) for w in {w for _, _, w, _, _ in chunked[2] if w}
         ):
-            found, hi = chunked, mid
-        else:
-            lo = mid + 1
+            break
+        found = chunked
 
     (_, est), first, picked = found
     steps = tuple(
@@ -686,7 +701,7 @@ def compile_program(
         path[0], first, steps, chosen, sum(mults),
         max(_rank(opens[0], ext), widest),
         sum(c * (w.blocks if w else 1) for _, _, w, c, _ in picked),
-        max((live(t, w) + h for t, (*_, w, _, h) in enumerate(picked)), default=sizes[0]),
+        peak(picked),
         est,
         max((share(t, w) for t, (*_, w, _, _) in enumerate(picked)), default=0),
     )

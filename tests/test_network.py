@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 import threading
@@ -645,14 +646,16 @@ class TestContractionProgram:
     def test_one_contract_pair_call_per_step(self, rng, monkeypatch):
         net = random_grid_network(rng, 3, 3)
         program = compile_program(network_shape(net), sorted(net.tensors))
-        calls = []
-        pair = network.contract_pair
-        monkeypatch.setattr(
-            network, "contract_pair",
-            lambda *args, **kwargs: calls.append(args) or pair(*args, **kwargs),
-        )
+        calls = pair_calls(monkeypatch)
         contract_along_path(net, program)
         assert len(calls) == len(program.steps) == len(net.tensors) - 1
+
+    def test_one_node(self):
+        shape = NetworkShape((0,), {})
+        program = compile_program(shape, [0])
+        assert program.steps == () and program.peak_elements == 1
+        assert compile_program(shape, [0], 1) == program
+        assert compile_program(shape, [0], 0) is None
 
     def test_cut_edges_left_out_of_the_program(self):
         c = generate_rqc(generate_lattice("square", 3, 3), 5, seed=2)
@@ -669,6 +672,17 @@ class TestContractionProgram:
 
 def unchunked_peak(program) -> int:
     return max(step.elements for step in program.steps)
+
+
+def pair_calls(monkeypatch) -> list:
+    """The arguments of each ``network.contract_pair`` call, in call order."""
+    calls = []
+    pair = network.contract_pair
+    monkeypatch.setattr(
+        network, "contract_pair",
+        lambda *args, **kwargs: calls.append(args) or pair(*args, **kwargs),
+    )
+    return calls
 
 
 class TestWindows:
@@ -704,18 +718,26 @@ class TestWindows:
         chunked = compile_program(shape, path)
         assert unchunked.windows == () and chunked.windows
         assert chunked.peak_elements < unchunked.peak_elements
-        assert chunked.multiplies == unchunked.multiplies
-        calls = []
-        pair = network.contract_pair
-        monkeypatch.setattr(
-            network, "contract_pair",
-            lambda *args, **kwargs: calls.append(args) or pair(*args, **kwargs),
-        )
-        value = contract_along_path(net, chunked)
-        assert len(calls) == len(chunked.steps) + sum(
-            (w.blocks - 1) * (w.stop - w.start + 1) for w in chunked.windows
-        )
-        assert value == pytest.approx(contract_along_path(net, unchunked), abs=1e-12)
+        # below the finest window an unbounded compile offers, its span is
+        # cut into single indices
+        single = compile_program(shape, path, chunked.peak_elements - 1)
+        (w,) = single.windows
+        assert (w.blocks, shape.edges[w.axis]) == (8, 8)
+        expected = contract_along_path(net, unchunked)
+        calls = pair_calls(monkeypatch)
+        for program in (chunked, single):
+            assert program.multiplies == unchunked.multiplies
+            calls.clear()
+            value = contract_along_path(net, program)
+            assert len(calls) == len(program.steps) + sum(
+                (w.blocks - 1) * (w.stop - w.start + 1) for w in program.windows
+            )
+            assert value == pytest.approx(expected, abs=1e-12)
+        # single indices give the bits of the same steps run once on the
+        # whole window axis
+        whole = dataclasses.replace(single, windows=(w._replace(blocks=1),))
+        space = np.empty(max(step.elements for step in single.steps), dtype=np.complex128)
+        assert value == contract_along_path(net, whole, workspace=space)
 
     def test_measured_peak_within_peak_elements(self):
         circuit = generate_rqc(generate_lattice("square", 3, 3), 12, seed=1)
@@ -993,6 +1015,18 @@ class TestLayerChoice:
         assert layered.windows
         assert layered.time < merged.time
         assert layered.multiplies < merged.multiplies / 5
+
+    def test_square_4x4_d11_narrows_its_windows_to_single_indices(self):
+        merged, _, shape, path = layered_setup(4, 4, 11)
+        layered = compile_program(shape, path, merged.peak_elements)
+        # the second window's blocks are single indices
+        assert [(w.blocks, shape.edges[w.axis]) for w in layered.windows] == [(16, 32), (32, 32)]
+        assert layered.peak_elements == 2_758_656
+        assert layered.workspace <= 2_621_440
+        # a bound at a program's own peak finds it, as do bounds below 5.7M
+        # elements: 4,069,376 is the peak of windows of 8 and 16 blocks
+        for bound in (layered.peak_elements, 4_069_376, 4_900_000):
+            assert compile_program(shape, path, bound) == layered
 
     def test_sliced_square_4x4_d10_layers_qubits_9_and_10(self):
         merged, orders, shape, path = layered_setup(4, 4, 10, [(5, 6)])
