@@ -28,7 +28,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, permutations
+from itertools import accumulate, chain, islice, permutations
 from math import prod
 from operator import xor
 from typing import NamedTuple
@@ -138,8 +138,10 @@ class StateOverlap:
         return t
 
     def _build(self, q: int, labels: tuple[Edge, ...]) -> Tensor:
-        """A merged node is phi_q . psi_q* over the physical axis: one
-        product, then one copy into the order ``labels``.
+        """A layer node is one copy of its state's tensor into the order
+        ``labels``.  A merged node is phi_q . psi_q* over the physical axis:
+        one product, then one copy into that order, so its build holds two
+        node-sized arrays.
 
         The cut edges of a merged node are gone from it.  Each is indexed
         before the product: value v is phi's index v // b and psi's index
@@ -148,7 +150,7 @@ class StateOverlap:
         if q < 0 or q in self.layered:
             t = self.psi.tensors[~q] if q < 0 else self.phi.tensors[q]
             data = t.data.transpose([t.axis(_state_label(lab)) for lab in labels])
-            return Tensor(data.conj() if q < 0 else data, labels)
+            return Tensor(np.conjugate(data, order="C") if q < 0 else data, labels)
         a, b = self.phi.tensors[q], self.psi.tensors[q]
         da, db, la, lb = a.data, b.data, a.labels, b.labels
         fixed = {e: divmod(v, b.dims[b.axis(e)]) for e, v in self.values.items() if q in e}
@@ -347,16 +349,21 @@ class ContractionProgram:
     new axis order, staged because their paired axes split it or
     transposed as a matrix operand; 0 when every step can multiply the
     accumulator in place (a thin batch staged because that is faster does
-    not count).  ``peak_elements`` is the program's largest live set: a
-    step's ``elements``, the accumulator it transposes and the buffer it
-    stages through, outside windows; inside a window, its whole input and
-    output and all its nodes, plus one block of the step's accumulator, one
-    of its result and the block it transposes, and the buffer.  It leaves
-    out two things a run holds: the nodes beside a workspace sized for the
-    largest step (on ``amp-sq16-d11``'s first window, the run holds 33,792
-    elements more), and in a cut run the nodes that no cut edge touches,
-    built once for every slice.  ``time`` is the compiler's estimate of
-    the run time, in multiplies.
+    not count).  ``live_elements`` is the program's largest live set, what
+    a compile's bound holds: a step's ``elements``, the accumulator it
+    transposes and the buffer it stages through, outside windows; inside a
+    window, its whole input and output and all its nodes, plus one block of
+    the step's accumulator, one of its result and the block it transposes,
+    and the buffer.  ``peak_elements`` is what a run holds at once: the
+    workspace, sized for the largest step, and beside it what each step
+    holds outside it: the first node while that is the accumulator, the
+    step's node or its window's nodes, a merged node twice while it is
+    built (a product, then a copy into its axis order), and the copies the
+    workspace has no room for.  On ``amp-sq16-d11``'s program that is
+    2,760,960 elements against a largest live set of 2,726,656.  It leaves
+    out the nodes that a cut run holds for every slice, those no cut edge
+    touches.  ``time`` is the compiler's estimate of the run time, in
+    multiplies.
 
     ``workspace`` is the size of the one array a run writes every result
     into (``contract_along_path``): the largest share of a live set held
@@ -373,6 +380,7 @@ class ContractionProgram:
     peak_rank: int
     copied: int
     peak_elements: int
+    live_elements: int
     time: int
     workspace: int
 
@@ -391,14 +399,15 @@ def _rank(labels, ext: dict) -> int:
 def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: bool):
     """The ways to absorb a node with edges ``legs`` into an accumulator
     whose axes are in the order ``layout``: per operand order, (node first,
-    copied elements, held elements, estimated time in multiplies).
+    copied elements, held elements, estimated time in multiplies, buffer
+    elements).
 
     A step copies the accumulator when its paired axes are not one run of
     it, so that it is staged, or when it is the matrix operand and is
     transposed.  Only the transposed copy is held whole; a staged step
-    holds its buffer.  The node's paired axes go first, in the
-    accumulator's order, so only the order of its free axes and the operand
-    order are chosen.  The node goes first only when ``narrow``: neither
+    holds its buffer, which the held elements count.  The node's paired
+    axes go first, in the accumulator's order, so only the order of its
+    free axes and the operand order are chosen.  The node goes first only when ``narrow``: neither
     operand has more axes than the widest intermediate, so a call's first
     operand is never wider than every intermediate.
     """
@@ -425,14 +434,43 @@ def _moves(layout: tuple[Edge, ...], legs: tuple[Edge, ...], ext: dict, narrow: 
             held = copied + buffer
         else:  # the accumulator is the block, copied where a split run stages it
             copied, held, work = acc if split else 0, buffer, gemm_time(g)
-        plans.append((node_first, copied, held, work))
+        plans.append((node_first, copied, held, work, buffer))
     return tuple(plans)
 
 
-def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
-    """The least-cost first axis order and moves, one (node axis order,
-    node first, window or None, copied elements, held elements) per step,
-    or None.
+class Move(NamedTuple):
+    """How one step runs: its node's axis order, the operand order, the
+    window it runs in or None, the accumulator elements it copies, the
+    elements it holds beside its live set, and of those its staging
+    buffer's."""
+
+    labels: tuple[Edge, ...]
+    node_first: bool
+    window: Window | None
+    copied: int
+    held: int
+    buffer: int
+
+
+class BudgetSpent(Exception):
+    """A compile evaluated more moves than its ``Budget`` had left."""
+
+
+class Budget:
+    """The DP move evaluations that compiles may still make between them;
+    the compile that makes more raises ``BudgetSpent``."""
+
+    def __init__(self, moves: int) -> None:
+        self.moves = moves
+
+    def spend(self, moves: int) -> None:
+        self.moves -= moves
+        if self.moves < 0:
+            raise BudgetSpent
+
+
+def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded, budget=None):
+    """The least-cost first axis order and ``Move`` per step, or None.
 
     Step ``t`` runs unchunked only where ``plain[t]``; it may also open a
     window of ``starts[t]``, which reads its blocks with the window's axis
@@ -446,7 +484,8 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
     The cost is (copied elements, time), and ``moves`` caches each step's
     moves from a layout, in or out of a window, across calls.  When
     ``bounded``, the cost is (0, time) and only the ``BEAM`` least-cost
-    states per open window survive each step.
+    states per open window survive each step.  Given ``budget``, each
+    move from a state is spent from it once per node axis order it tries.
     """
     # (result layout, window still open) -> (cost so far, previous key, move)
     layer = {(lay, None): ((0, 0), None, None) for lay in permutations(legs[path[0]])}
@@ -478,7 +517,9 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
                 shared = tuple(lab for lab in lay if lab in legs[q])
                 free = tuple(lab for lab in legs[q] if lab not in shared)
                 rest = tuple(lab for lab in lay if lab not in shared)
-                for node_first, copied, held, work in moves[chunk]:
+                if budget is not None:
+                    budget.spend(len(moves[chunk]) * math.factorial(len(free)))
+                for node_first, copied, held, work, buffer in moves[chunk]:
                     # a staged step holds only its buffer but mostly gets
                     # room for its whole copy: on square 4x4 d11 with qubits
                     # 6, 9 and 10 layered, the windows the buffer alone
@@ -494,7 +535,8 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
                         old = best.get(key)
                         if old is None or c < old[0]:
                             best[key] = (
-                                c, (layout, open_), (labels, node_first, w, copied, held)
+                                c, (layout, open_),
+                                Move(labels, node_first, w, copied, held, buffer),
                             )
         if not best:
             return None
@@ -517,7 +559,10 @@ def _search(path, legs, ext, narrow, plain, starts, moves, room, bounded):
 
 
 def compile_program(
-    shape: NetworkShape, path: list[int], peak_bound: int | None = None
+    shape: NetworkShape,
+    path: list[int],
+    peak_bound: int | None = None,
+    budget: Budget | None = None,
 ) -> ContractionProgram | None:
     """Compile ``path`` into the program that contracts networks of
     ``shape``, a slice's shape when edges are cut.
@@ -534,9 +579,11 @@ def compile_program(
     copied, then the estimated time; a copy ranks first because it reads
     and writes the whole accumulator once more, and a transposed one also
     doubles the step's live set.  With it, the DP minimises the estimated
-    time of the programs whose ``peak_elements`` is at most ``peak_bound``,
+    time of the programs whose ``live_elements`` is at most ``peak_bound``,
     keeping the ``BEAM`` least-time states per open window after each step,
-    and the result is None when there are none.  A step that cannot run
+    and the result is None when there are none.  Given ``budget``, the
+    DP's move evaluations are spent from it (``_search``), and the compile
+    that runs out raises ``BudgetSpent``.  A step that cannot run
     unchunked within the bound may open a window of either of the two
     fewest block counts that hold it, with blocks of extent 2 or more,
     whatever its cost, and a staged step needs room for its whole copy.
@@ -585,11 +632,16 @@ def compile_program(
         return held + (sizes[t] + sizes[t + 1]) // b
 
     def peak_of(w: Window) -> int:
-        return max(live(k, w) for k in range(w.start, w.stop + 1))
+        """The largest ``live`` set of the steps of ``w``."""
+        i, j = w.start, w.stop
+        pairs = max(sizes[k] + sizes[k + 1] for k in range(i, j + 1))
+        return sizes[i] + sizes[j + 1] + sum(nodes[i:j + 1]) + pairs // w.blocks
 
     def peak(picked) -> int:
         """The largest live set of the moves ``picked``, with what each holds."""
-        return max((live(t, w) + h for t, (*_, w, _, h) in enumerate(picked)), default=sizes[0])
+        return max(
+            (live(t, mv.window) + mv.held for t, mv in enumerate(picked)), default=sizes[0]
+        )
 
     def share(t: int, w: Window | None) -> int:
         """Step ``t``'s results in the workspace: its input and result, or
@@ -599,6 +651,37 @@ def compile_program(
             return (sizes[t] if t else 0) + sizes[t + 1]
         i, j = w.start, w.stop
         return (sizes[i] if i else 0) + sizes[j + 1] + (sizes[t] + sizes[t + 1]) // w.blocks
+
+    def space(picked) -> int:
+        """The workspace of the moves ``picked``: their largest share."""
+        return max((share(t, mv.window) for t, mv in enumerate(picked)), default=0)
+
+    # a merged node, neither a layer node nor beside one, is built as a
+    # product and then copied into its axis order: two node-sized arrays
+    built = [
+        n * (1 if q < 0 or ~q in shape.nodes else 2)
+        for q, n in zip(path, [sizes[0], *nodes])
+    ]
+
+    def held(picked) -> int:
+        """The most a run of the moves ``picked`` holds at once: its
+        workspace, and beside it the first node while that is the
+        accumulator, the nodes that a step or its window reads, the one it
+        builds counted twice when merged, and the copies that the room its
+        share leaves in the workspace does not hold."""
+        ws = space(picked)
+        most = built[0]
+        for t, mv in enumerate(picked):
+            w = mv.window
+            i, j = (w.start, w.stop) if w else (t, t)
+            first = sizes[0] if i == 0 else 0
+            inside = mv.buffer if ws - share(t, w) >= mv.buffer else 0
+            most = max(
+                most,
+                first + sum(nodes[i:t]) + built[t + 1],
+                first + sum(nodes[i:j + 1]) + mv.held - inside,
+            )
+        return ws + most
 
     def slack(i: int, j: int) -> float:
         return WINDOW_SLACK * sum(mults[i:j + 1])
@@ -649,9 +732,9 @@ def compile_program(
                     # d12 and 4x4 d10 and sycamore-like 4x5 d14, offering
                     # every count compiled the same programs with up to
                     # 17% more ``_moves`` calls
-                    fits = [w for w in ws if peak_of(w) <= bound][:2]
+                    fits = list(islice((w for w in ws if peak_of(w) <= bound), 2))
                 else:
-                    fits = [w for w in ws if cheap(w) and peak_of(w) <= bound][:1]
+                    fits = list(islice((w for w in ws if cheap(w) and peak_of(w) <= bound), 1))
                 starts[i] += fits
                 covered.update(range(i, j + 1) if fits else ())
         if any(not p and t not in covered for t, p in enumerate(plain)):
@@ -659,7 +742,7 @@ def compile_program(
         return _search(
             path, legs, ext, narrow, plain, starts, moves,
             lambda t, w: (bound - live(t, w) if whole else math.inf, bound - live(t, w)),
-            bounded,
+            bounded, budget,
         )
 
     if bounded:
@@ -678,7 +761,7 @@ def compile_program(
     else:
         found = within(math.inf)
     (copied, est), _, picked = found
-    kept = frozenset(w[:3] for _, _, w, _, _ in picked if w)
+    kept = frozenset(mv.window[:3] for mv in picked if mv.window)
     while True:
         # wide offers: a step's live set may hold the bound while no move's
         # copy fits beside it; without them, the unbounded compiles of
@@ -686,30 +769,76 @@ def compile_program(
         chunked = within(peak(found[2]) - 1, kept, wide=True, fine=kept)
         # no more copies, and windows that fit their slack
         if not chunked or chunked[0][0] != copied or chunked[0][1] > est + sum(
-            slack(w.start, w.stop) for w in {w for _, _, w, _, _ in chunked[2] if w}
+            slack(w.start, w.stop) for w in {mv.window for mv in chunked[2] if mv.window}
         ):
             break
         found = chunked
 
     (_, est), first, picked = found
     steps = tuple(
-        Step(q, labels, node_first, e, size)
-        for q, (labels, node_first, *_), e, size in zip(path[1:], picked, elements, sizes[1:])
+        Step(q, mv.labels, mv.node_first, e, size)
+        for q, mv, e, size in zip(path[1:], picked, elements, sizes[1:])
     )
-    chosen = tuple(dict.fromkeys(w for _, _, w, _, _ in picked if w))
+    chosen = tuple(dict.fromkeys(mv.window for mv in picked if mv.window))
     return ContractionProgram(
         path[0], first, steps, chosen, sum(mults),
         max(_rank(opens[0], ext), widest),
-        sum(c * (w.blocks if w else 1) for _, _, w, c, _ in picked),
+        sum(mv.copied * (mv.window.blocks if mv.window else 1) for mv in picked),
+        held(picked),
         peak(picked),
         est,
-        max((share(t, w) for t, (*_, w, _, _) in enumerate(picked)), default=0),
+        space(picked),
     )
 
 
 # A qubit is absorbed as its two layer nodes where its merged step costs
 # at least LAYER_RATIO times their two steps.
 LAYER_RATIO = 8
+
+# The layer search (``_layer_more``) makes at most LAYER_MOVES DP move
+# evaluations in all its compiles together.
+LAYER_MOVES = 60_000
+
+
+def _layer_steps(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+) -> dict[int, tuple[int, int, tuple[int, int]]]:
+    """Each qubit of ``path`` that may be absorbed as two layer nodes, with
+    the multiplies of its merged step, those of its two layer steps in the
+    cheaper order, and that order: (q, ~q), phi_q first, or (~q, q).
+
+    With a and b the two states' bond extents, P the accumulator's edges
+    to q, F q's other edges and R the accumulator's other edges, the merged
+    step costs |R| a_P b_P a_F b_F multiplies.  Absorbing phi_q then psi_q*
+    costs 2 |R| b_P a_F (a_P + b_F), and psi_q* first 2 |R| a_P b_F
+    (b_P + a_F), so the first node, with P empty, never costs fewer
+    layered.  No other step's cost depends on it, so a program's
+    multiplies are the path's less what each layered qubit saves.  The
+    endpoints of cut edges stay merged, so a slice indexes merged axes
+    only.
+    """
+    a, b = phi.bond_dims, psi.bond_dims
+    kept = {q for e in cut_edges for q in e}
+    steps = {}
+    opened: frozenset[Edge] = frozenset()
+    for q in path:
+        legs = shape.open_edges((q,))
+        if q not in kept:
+            r = prod(shape.edges[e] for e in opened - legs)
+            ap, bp = (prod(d[e] for e in opened & legs) for d in (a, b))
+            af, bf = (prod(d[e] for e in legs - opened) for d in (a, b))
+            phi_first, psi_first = 2 * bp * af * (ap + bf), 2 * ap * bf * (bp + af)
+            steps[q] = (
+                r * ap * bp * af * bf,
+                r * min(phi_first, psi_first),
+                (q, ~q) if phi_first <= psi_first else (~q, q),
+            )
+        opened ^= legs
+    return steps
 
 
 def _layer_orders(
@@ -719,31 +848,84 @@ def _layer_orders(
     path: list[int],
     cut_edges: tuple[Edge, ...],
 ) -> dict[int, tuple[int, int]]:
-    """The qubits of ``path`` to absorb as two layer nodes, each with its
-    layers in the cheaper order: (q, ~q), phi_q first, or (~q, q).
+    """The qubits of ``path`` whose merged step costs at least
+    ``LAYER_RATIO`` times their two layer steps, each with its layers in
+    the cheaper order (``_layer_steps``)."""
+    steps = _layer_steps(shape, phi, psi, path, cut_edges)
+    return {q: order for q, (merged, layered, order) in steps.items()
+            if merged >= LAYER_RATIO * layered}
 
-    With a and b the two states' bond extents, P the accumulator's edges
-    to q, F q's other edges and R the accumulator's other edges, the merged
-    step costs |R| a_P b_P a_F b_F multiplies.  Absorbing phi_q then psi_q*
-    costs 2 |R| b_P a_F (a_P + b_F), and psi_q* first 2 |R| a_P b_F
-    (b_P + a_F), so the first node, with P empty, never qualifies.  The
-    endpoints of cut edges stay merged, so a slice indexes merged axes
-    only.
+
+def _layered(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    orders: dict[int, tuple[int, int]],
+) -> tuple[NetworkShape, list[int]]:
+    """The shape and path that absorb each qubit of ``orders`` as its two
+    layer nodes, in its order."""
+    return (
+        _layered_shape(shape, phi, psi, frozenset(orders)),
+        [v for q in path for v in orders.get(q, (q,))],
+    )
+
+
+def _held_within(
+    shape: NetworkShape, path: list[int], bound: int, budget: Budget
+) -> ContractionProgram | None:
+    """The program of ``path`` whose ``peak_elements`` is at most
+    ``bound``, or None: compiled with its live sets held to ``bound``, and
+    while the run would hold more, below the last program's live sets."""
+    live = bound
+    while (program := compile_program(shape, path, live, budget)) is not None:
+        if program.peak_elements <= bound:
+            break
+        live = min(live - (program.peak_elements - bound), program.live_elements - 1)
+    return program
+
+
+def _layer_more(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    cut_edges: tuple[Edge, ...],
+    program: ContractionProgram,
+) -> ContractionProgram:
+    """``program``, or a program of ``path`` that layers more of its qubits
+    and beats it.
+
+    The candidates are the qubits whose two layer steps cost fewer
+    multiplies than their merged step (``_layer_steps``).  The search
+    compiles the program that layers them all within ``program``'s
+    ``peak_elements``; while there is none, it merges back the candidate
+    that saves the fewest multiplies.  The first program found replaces
+    ``program`` when both its estimated time and its multiplies are lower.
+    ``program`` stands once the candidates left save no more multiplies
+    than the qubits it layers, or once the compiles have made
+    ``LAYER_MOVES`` DP move evaluations.
     """
-    a, b = phi.bond_dims, psi.bond_dims
-    kept = {q for e in cut_edges for q in e}
-    orders = {}
-    opened: frozenset[Edge] = frozenset()
-    for q in path:
-        legs = shape.open_edges((q,))
-        if q not in kept:
-            ap, bp = (prod(d[e] for e in opened & legs) for d in (a, b))
-            af, bf = (prod(d[e] for e in legs - opened) for d in (a, b))
-            phi_first, psi_first = 2 * bp * af * (ap + bf), 2 * ap * bf * (bp + af)
-            if ap * bp * af * bf >= LAYER_RATIO * min(phi_first, psi_first):
-                orders[q] = (q, ~q) if phi_first <= psi_first else (~q, q)
-        opened ^= legs
-    return orders
+    steps = _layer_steps(shape, phi, psi, path, cut_edges)
+    saved = {q: merged - layered for q, (merged, layered, _) in steps.items() if layered < merged}
+    ranked = sorted(saved, key=lambda q: (-saved[q], q))
+    floor = sum(saved[q] for q in program.layered)
+    budget = Budget(LAYER_MOVES)
+    for n in range(len(ranked), 0, -1):
+        if sum(saved[q] for q in ranked[:n]) <= floor:
+            break
+        orders = {q: steps[q][2] for q in ranked[:n]}
+        try:
+            found = _held_within(
+                *_layered(shape, phi, psi, path, orders), program.peak_elements, budget
+            )
+        except BudgetSpent:
+            break
+        if found is not None:
+            if found.time < program.time and found.multiplies < program.multiplies:
+                return found
+            break
+    return program
 
 
 def _layered_shape(
@@ -782,11 +964,18 @@ def _compile(
     cut_edges: tuple[Edge, ...],
     peak_bound: int | None = None,
 ) -> ContractionProgram | None:
-    """Without ``peak_bound``, the merged program of ``path`` on the slice
-    shape ``shape``, or the program that layers the qubits
-    ``_layer_orders`` picks when it fits the merged program's peak and its
-    estimated time is lower.  With it, the layered program within the
-    bound, else the merged one within it, else None.
+    """The program of ``path`` on the slice shape ``shape``.
+
+    First the reference program: without ``peak_bound``, the merged
+    program, or the one that layers the qubits ``_layer_orders`` picks
+    when it fits the merged program's largest live set and its estimated
+    time is lower; with it, the layered program whose live sets fit the
+    bound, else the merged one, else None.  Then the layer search
+    (``_layer_more``) may replace it with a program that layers more
+    qubits, runs within its ``peak_elements`` and beats its estimated time
+    and its multiplies.  A cut run's program without a bound keeps the
+    reference: it only sets the bound of the slices' program and how many
+    slices run at once.
 
     Memoised on the shape's nodes and extents, the path, the cut edges,
     both states' bond extents and the bound, for the ``PROGRAMS`` most
@@ -804,6 +993,9 @@ def _compile(
             if peak_bound is None
             else _compile_within(shape, phi, psi, path, cut_edges, peak_bound)
         )
+        # a cut run's program without a bound only sets its slices' bound
+        if program is not None and (peak_bound is not None or not cut_edges):
+            program = _layer_more(shape, phi, psi, path, cut_edges, program)
     with _programs_lock:
         _programs[key] = program
         while len(_programs) > PROGRAMS:
@@ -823,9 +1015,7 @@ def _compile_afresh(
     if not orders:
         return program
     layered = compile_program(
-        _layered_shape(shape, phi, psi, frozenset(orders)),
-        [v for q in path for v in orders.get(q, (q,))],
-        program.peak_elements,
+        *_layered(shape, phi, psi, path, orders), program.live_elements
     )
     if layered is None or layered.time >= program.time:
         return program
@@ -842,11 +1032,7 @@ def _compile_within(
 ) -> ContractionProgram | None:
     orders = _layer_orders(shape, phi, psi, path, cut_edges)
     if orders:
-        layered = compile_program(
-            _layered_shape(shape, phi, psi, frozenset(orders)),
-            [v for q in path for v in orders.get(q, (q,))],
-            peak_bound,
-        )
+        layered = compile_program(*_layered(shape, phi, psi, path, orders), peak_bound)
         if layered is not None:
             return layered
     return compile_program(shape, path, peak_bound)
@@ -952,10 +1138,13 @@ def contract_along_path(
             )
             t = w.stop + 1
         else:
+            # the node is released with the call, before the next is built
             step = program.steps[t]
-            node = net.node(step.node, step.labels)
             held = 0 if high is None else acc.data.size
-            acc = _absorb(acc, node, step, workers, *_split(workspace, step.size, not high, held))
+            acc = _absorb(
+                acc, net.node(step.node, step.labels), step, workers,
+                *_split(workspace, step.size, not high, held),
+            )
             t += 1
         high = not high
     return acc.scalar()
@@ -1060,10 +1249,12 @@ def compute_amplitude(
 
     two states -> the overlap network's shape -> cut plan, whose one path
     search gives every slice's path -> that path compiled once into a
-    program, layering its costliest qubit steps where that pays
-    (``_compile``, or the program an earlier amplitude of the same shape
-    compiled) -> the network (``build_overlap_network``) -> sum of its
-    slices' scalars, in slice order.
+    program that layers each qubit whose layer steps pay, as many as run
+    within the reference program's peak (``_compile``, or the program an
+    earlier amplitude of the same shape compiled) -> the network
+    (``build_overlap_network``) -> sum of its slices' scalars, in slice
+    order.  BLAS runs single-threaded throughout, inside the amplitude's
+    ``Workers``.
     Only then is a node built: up front, in qubit order, each node that no
     cut edge touches when there are cuts; every other node when its step
     reads it, a cut endpoint at its slice's size, rebuilt only when the
@@ -1072,9 +1263,9 @@ def compute_amplitude(
 
     With one slice, every result is written into one workspace, and each
     large call splits across the amplitude's ``Workers``.  With more, every
-    slice runs on a program compiled within ``1 / SLICE_SHARE`` of that
-    one's peak where one fits, and the workers take whole slices, as many
-    at once as fit in that peak (``_slices_at_once``), each slice in its
+    slice runs on a program whose live sets fit ``1 / SLICE_SHARE`` of
+    that one's where one does, and the workers take whole slices, as many
+    at once as fit in its peak (``_slices_at_once``), each slice in its
     worker's own workspace; otherwise the slices run one at a time, as the
     one slice does.  The program does not depend on the worker count, and
     the scalars are summed in slice order, so the output is the same at
@@ -1084,19 +1275,21 @@ def compute_amplitude(
     score unless a qubit is layered.
     """
     start = time.perf_counter()
-    phi, psi = overlap_states(circuit, in_bits, out_bits, split_cycle)
-    shape = overlap_shape(phi, psi)
-    explicit = None if cuts == "auto" else list(cuts or ())
-    plan = plan_cuts(shape, max_rank, explicit)
-    path = list(plan.path)
-    edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
-    sliced = NetworkShape(shape.nodes, edges)
-    whole = program = _compile(sliced, phi, psi, path, plan.cut_edges)
-    if plan.slice_count > 1:
-        bound = whole.peak_elements // SLICE_SHARE
-        program = _compile(sliced, phi, psi, path, plan.cut_edges, bound) or whole
-    net = build_overlap_network(phi, psi, program, plan.cut_edges)
+    # BLAS runs single-threaded from the evolution on: the SVDs of
+    # sycamore-like 4x5 d14 round differently at two BLAS threads
     with Workers() as workers:
+        phi, psi = overlap_states(circuit, in_bits, out_bits, split_cycle)
+        shape = overlap_shape(phi, psi)
+        explicit = None if cuts == "auto" else list(cuts or ())
+        plan = plan_cuts(shape, max_rank, explicit)
+        path = list(plan.path)
+        edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
+        sliced = NetworkShape(shape.nodes, edges)
+        whole = program = _compile(sliced, phi, psi, path, plan.cut_edges)
+        if plan.slice_count > 1:
+            bound = whole.live_elements // SLICE_SHARE
+            program = _compile(sliced, phi, psi, path, plan.cut_edges, bound) or whole
+        net = build_overlap_network(phi, psi, program, plan.cut_edges)
         k = _slices_at_once(whole, program, workers.count)
         # dead cycles (the DP's tuples after a compile, about 1 MB on square
         # 3x3 d12) hold heap memory until a full collection, and a large

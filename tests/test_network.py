@@ -653,7 +653,9 @@ class TestContractionProgram:
     def test_one_node(self):
         shape = NetworkShape((0,), {})
         program = compile_program(shape, [0])
-        assert program.steps == () and program.peak_elements == 1
+        assert program.steps == () and program.live_elements == 1
+        # a run builds the node as a product and a copy
+        assert program.peak_elements == 2
         assert compile_program(shape, [0], 1) == program
         assert compile_program(shape, [0], 0) is None
 
@@ -702,7 +704,7 @@ class TestWindows:
         _, _, shape, path = states_and_path(4, 4, 10, [(5, 6)])
         program = compile_program(shape, path)
         assert program.windows == ()
-        assert program.peak_elements == unchunked_peak(program)
+        assert program.live_elements == unchunked_peak(program)
         monkeypatch.setattr(network, "WINDOW_SLACK", 0)  # no window fits
         assert compile_program(shape, path) == program
 
@@ -720,7 +722,7 @@ class TestWindows:
         assert chunked.peak_elements < unchunked.peak_elements
         # below the finest window an unbounded compile offers, its span is
         # cut into single indices
-        single = compile_program(shape, path, chunked.peak_elements - 1)
+        single = compile_program(shape, path, chunked.live_elements - 1)
         (w,) = single.windows
         assert (w.blocks, shape.edges[w.axis]) == (8, 8)
         expected = contract_along_path(net, unchunked)
@@ -792,7 +794,7 @@ class TestFinerWindows:
         program = compile_program(shape, path)
         assert program.multiplies == 31241274368
         assert program.copied == 0
-        assert program.peak_elements <= 8_000_000
+        assert program.live_elements <= 8_000_000
         assert (program.first, program.labels) == (0, ((0, 1), (0, 4)))
         assert layouts(program) == [
             (4, ((0, 4), (4, 8), (4, 5)), True),
@@ -817,7 +819,7 @@ class TestFinerWindows:
         program = compile_program(shape, path)
         assert (program.first, program.labels) == (0, ((0, 1), (0, 4)))
         assert program.windows == ()
-        assert (program.copied, program.peak_elements) == (0, 786944)
+        assert (program.copied, program.live_elements) == (0, 786944)
         assert layouts(program) == [
             (4, ((0, 4), (4, 8), (4, 5)), False),
             (1, ((0, 1), (1, 5), (1, 2)), False),
@@ -921,14 +923,17 @@ def nrank(t: Tensor) -> int:
 class TestLayeredRuns:
     """Square 3x3 d12 (``tnsim gen --lattice square --size 9 --depth 12
     --seed 1``): absorbing qubit 4 as its two layer nodes costs 10.7 times
-    fewer multiplies than its merged step, so runs layer it."""
+    fewer multiplies than its merged step, so every run layers it.  An
+    uncut run's layer search adds the other qubits whose two layer steps
+    cost fewer multiplies than their merged step: 0, 2, 3, 5, 6 and 7."""
 
     circuit = generate_rqc(generate_lattice("square", 3, 3), 12, seed=1)
     outs = ("000000000", "010101010", "110010011")
+    searched = {0, 2, 3, 4, 5, 6, 7}
 
     @pytest.mark.parametrize(
         "cuts, layered",
-        [(None, {4}), ([(0, 1)], {4}), ([(1, 4)], set())],
+        [(None, searched), ([(0, 1)], {4}), ([(1, 4)], set())],
         ids=["uncut", "cut-away-from-4", "cut-on-4"],
     )
     def test_matches_the_oracle(self, monkeypatch, cuts, layered):
@@ -960,10 +965,10 @@ class TestLayeredRuns:
 
         monkeypatch.setattr(network, "contract_pair", counted)
         stats, program = run_with_program(monkeypatch, self.circuit, "010101010", None)
-        assert program.layered == {4}
+        assert program.layered == self.searched
         assert sum(costs) == stats.multiplies == stats.path_score
         assert max(ranks) == stats.peak_rank
-        # the search's score counts qubit 4's merged step
+        # the search's score counts the layered qubits' merged steps
         shape = overlap_shape(*overlap_states(self.circuit, "0" * 9, "010101010"))
         assert stats.path_score < plan_cuts(shape, explicit_edges=[]).score
 
@@ -1008,10 +1013,10 @@ class TestLayerChoice:
         merged, orders, shape, path = layered_setup(4, 4, 11)
         # qubit 5's ratio is exactly 8, the others' 10.7-12.8
         assert orders == {5: (5, ~5), 6: (~6, 6), 9: (9, ~9), 10: (~10, 10)}
-        layered = compile_program(shape, path, merged.peak_elements)
+        layered = compile_program(shape, path, merged.live_elements)
         assert layered.layered == {5, 6, 9, 10}
         # the peak of the program that layered 6, 9 and 10 only
-        assert layered.peak_elements <= 4_198_400
+        assert layered.live_elements <= 4_198_400
         assert layered.windows
         assert layered.time < merged.time
         assert layered.multiplies < merged.multiplies / 5
@@ -1021,21 +1026,21 @@ class TestLayerChoice:
         layered = compile_program(shape, path, merged.peak_elements)
         # the second window's blocks are single indices
         assert [(w.blocks, shape.edges[w.axis]) for w in layered.windows] == [(16, 32), (32, 32)]
-        assert layered.peak_elements == 2_758_656
+        assert layered.live_elements == 2_758_656
         assert layered.workspace <= 2_621_440
         # a bound at a program's own peak finds it, as do bounds below 5.7M
         # elements: 4,069,376 is the peak of windows of 8 and 16 blocks
-        for bound in (layered.peak_elements, 4_069_376, 4_900_000):
+        for bound in (layered.live_elements, 4_069_376, 4_900_000):
             assert compile_program(shape, path, bound) == layered
 
     def test_sliced_square_4x4_d10_layers_qubits_9_and_10(self):
         merged, orders, shape, path = layered_setup(4, 4, 10, [(5, 6)])
         # both ratios are exactly 8
         assert orders == {9: (9, ~9), 10: (~10, 10)}
-        layered = compile_program(shape, path, merged.peak_elements)
-        assert merged.peak_elements == 786_944
+        layered = compile_program(shape, path, merged.live_elements)
+        assert merged.live_elements == 786_944
         assert layered.layered == {9, 10}
-        assert layered.peak_elements <= merged.peak_elements
+        assert layered.live_elements <= merged.live_elements
         assert layered.time < merged.time
         assert layered.multiplies < merged.multiplies / 3
 
@@ -1050,7 +1055,7 @@ class TestLayerChoice:
             return found
 
         monkeypatch.setattr(network, "_search", recorded)
-        program = compile_program(shape, path, merged.peak_elements)
+        program = compile_program(shape, path, merged.live_elements)
         # the first search is the least-time one within the merged peak
         fastest = times[0]
         mults = step_multiplies(shape, path)
@@ -1061,7 +1066,7 @@ class TestLayerChoice:
             )
 
         assert program.time <= fastest + slack(program)
-        lower = compile_program(shape, path, program.peak_elements - 1)
+        lower = compile_program(shape, path, program.live_elements - 1)
         assert lower is None or lower.time > fastest + slack(lower)
 
     def test_sliced_layered_compile_makes_few_moves(self, monkeypatch):
@@ -1071,13 +1076,109 @@ class TestLayerChoice:
         monkeypatch.setattr(
             network, "_moves", lambda *args: calls.append(args) or moves(*args)
         )
-        assert compile_program(shape, path, merged.peak_elements) is not None
+        assert compile_program(shape, path, merged.live_elements) is not None
         # 2,300 when every window that holds the bound was offered
         assert len(calls) <= 500
 
     def test_no_program_within_a_bound_too_small(self):
         phi, psi, shape, path = states_and_path(3, 3, 12)
         assert compile_program(shape, path, peak_bound=0) is None
+
+
+def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
+    """The program a run had before the layer search (merged or layered by
+    ``LAYER_RATIO``; a cut run's within a third of the peak) and the one
+    ``_compile`` chooses, shape-only, with the all-zero strings."""
+    n = rows * cols
+    c = generate_rqc(generate_lattice(kind, rows, cols), depth, seed=seed)
+    phi, psi = overlap_states(c, "0" * n, "0" * n)
+    shape = overlap_shape(phi, psi)
+    plan = plan_cuts(shape, explicit_edges=list(cuts))
+    sliced, path = slice_shape(shape, plan.cut_edges), list(plan.path)
+    reference = network._compile_afresh(sliced, phi, psi, path, plan.cut_edges)
+    bound = None
+    if cuts:
+        bound = reference.live_elements // network.SLICE_SHARE
+        reference = network._compile_within(sliced, phi, psi, path, plan.cut_edges, bound)
+    return reference, network._compile(sliced, phi, psi, path, plan.cut_edges, bound)
+
+
+class TestLayerSearch:
+    """The layer search: within the peak of the program a run had before
+    it, layer every qubit whose layer steps cost fewer multiplies than its
+    merged step, merging back the least saving ones until a program fits."""
+
+    def test_square_4x4_d11_layers_six_qubits(self, monkeypatch):
+        circuit = generate_rqc(generate_lattice("square", 4, 4), 11, seed=1)
+        reference, chosen = reference_and_chosen("square", 4, 4, 11)
+        assert reference.layered == {5, 6, 9, 10}
+        assert chosen.layered == {2, 5, 6, 9, 10, 13}
+        assert chosen.live_elements <= 2_758_656 == reference.live_elements
+        assert chosen.peak_elements <= reference.peak_elements
+        assert chosen.multiplies == 4_095_738_880 < reference.multiplies
+        out = "0101010101010101"
+        stats, program = run_with_program(monkeypatch, circuit, out, None)
+        assert program == chosen
+        ref = amplitude_oracle(circuit, "0" * 16, out)
+        assert stats.amplitude == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("kind, rows, cols, depth, cuts", [
+        ("square", 3, 3, 12, ()),
+        ("square", 3, 4, 10, ()),
+        ("square", 4, 4, 10, ((5, 6),)),
+        ("sycamore-like", 4, 5, 14, ()),
+    ], ids=["sq9-d12", "sq12-d10", "sq16-d10-cut-5-6", "syc20-d14"])
+    def test_never_above_the_reference(self, kind, rows, cols, depth, cuts):
+        reference, chosen = reference_and_chosen(kind, rows, cols, depth, cuts=cuts)
+        assert chosen.peak_elements <= reference.peak_elements
+        assert chosen.time <= reference.time
+        assert chosen.multiplies <= reference.multiplies
+
+    def test_sliced_square_4x4_d10_keeps_its_programs(self):
+        # the search finds no faster program within the slices' peak, and
+        # the program that sets their bound is never searched
+        phi, psi, shape, path = states_and_path(4, 4, 10, [(5, 6)])
+        whole = network._compile(shape, phi, psi, path, ((5, 6),))
+        assert whole == network._compile_afresh(shape, phi, psi, path, ((5, 6),))
+        reference, chosen = reference_and_chosen("square", 4, 4, 10, cuts=((5, 6),))
+        assert chosen == reference
+
+    def test_sycamore_4x5_d14_layers_all_but_three(self):
+        reference, chosen = reference_and_chosen("sycamore-like", 4, 5, 14)
+        assert reference.layered == {6, 7, 8, 11, 12, 13}
+        assert chosen.layered == set(range(20)) - {4, 9, 15}
+        assert chosen.peak_elements < reference.peak_elements / 16
+
+    def test_54_qubits_keep_their_program_within_the_budget(self, monkeypatch):
+        # the README's 54-qubit run, shape-only: no candidate set compiles
+        # within LAYER_MOVES move evaluations, so its program stands
+        budgets = []
+
+        class Recorded(network.Budget):
+            def __init__(self, moves):
+                super().__init__(moves)
+                budgets.append(self)
+
+        monkeypatch.setattr(network, "Budget", Recorded)
+        spent = []
+        search = network._search
+
+        def counted(*args):
+            before = args[-1].moves if args[-1] else None
+            try:
+                return search(*args)
+            finally:
+                if before is not None:
+                    spent.append(before - args[-1].moves)
+
+        monkeypatch.setattr(network, "_search", counted)
+        reference, chosen = reference_and_chosen("sycamore-like", 9, 6, 8, seed=7)
+        assert chosen == reference and chosen.layered == frozenset()
+        (budget,) = budgets
+        # spent to its end, and past it by at most one state's option: two
+        # operand orders of a node of at most five free axes
+        assert budget.moves < 0
+        assert sum(spent) == network.LAYER_MOVES - budget.moves <= network.LAYER_MOVES + 240
 
 
 def compile_calls(monkeypatch) -> list:
@@ -1096,10 +1197,11 @@ class TestProgramCache:
 
     circuit = TestLayeredRuns.circuit
 
-    # merged, then with qubit 4 layered; cut, then both again within a
-    # third of the peak, where neither fits
+    # merged, then with qubit 4 layered, then uncut the layer search's
+    # one compile; cut, both again within a third of the peak, where
+    # neither fits
     @pytest.mark.parametrize(
-        "cuts, compiles", [(None, 2), ([(0, 1)], 4)], ids=["uncut", "cut-0-1"]
+        "cuts, compiles", [(None, 3), ([(0, 1)], 4)], ids=["uncut", "cut-0-1"]
     )
     def test_second_amplitude_compiles_nothing(self, monkeypatch, cuts, compiles):
         calls = compile_calls(monkeypatch)
@@ -1157,7 +1259,7 @@ class TestWorkspace:
         for out in ("010101010", "110010011"):
             results.clear()
             stats, program = run_with_program(monkeypatch, self.circuit, out, cuts)
-            assert program.layered == {4}
+            assert program.layered == (TestLayeredRuns.searched if cuts is None else {4})
             assert bool(program.windows) == (cuts is None)
             assert (stats.slice_count > 1) == (cuts is not None)
             owners = {id(owner(r.data)): owner(r.data) for r in results}
