@@ -42,7 +42,7 @@ from .pathfind import (
     find_optimal_path,
     treewidth_bound,
 )
-from .tensor import STAGE, Tensor, Workers, contract_pair, gemm_time, plan_gemm
+from .tensor import Tensor, Workers, contract_pair, gemm_time, plan_gemm
 from .tns import PHYS, TNSState, two_sided_evolve
 
 __all__ = [
@@ -996,6 +996,11 @@ def _compile(
         # a cut run's program without a bound only sets its slices' bound
         if program is not None and (peak_bound is not None or not cut_edges):
             program = _layer_more(shape, phi, psi, path, cut_edges, program)
+        # the DP leaves dead cycles (its tuples, about 1 MB on square 3x3
+        # d12) that hold heap memory until a full collection, and the
+        # workspace would go above them; a collection takes 6-7 ms, so an
+        # amplitude that compiles nothing goes without
+        gc.collect()
     with _programs_lock:
         _programs[key] = program
         while len(_programs) > PROGRAMS:
@@ -1291,14 +1296,6 @@ def compute_amplitude(
             program = _compile(sliced, phi, psi, path, plan.cut_edges, bound) or whole
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
         k = _slices_at_once(whole, program, workers.count)
-        # dead cycles (the DP's tuples after a compile, about 1 MB on square
-        # 3x3 d12) hold heap memory until a full collection, and a large
-        # workspace goes above them: without this, peak RSS rose by 0.47 MB
-        # over 40 sliced-sq16-d10 amplitudes in one process, against 0.06 MB
-        # with it.  A collection takes 7 ms or more, so small workspaces go
-        # without.
-        if k * program.workspace > STAGE:
-            gc.collect()
         workspace = np.empty(k * program.workspace, dtype=np.complex128)
         if k > 1:
             total = sum(_contract_slices(net, plan, program, workspace, workers, k))

@@ -3,9 +3,12 @@
 Best-first dynamic programming over partial absorption paths: states live in
 a priority queue keyed by accumulated cost, each qubit subset is finalized
 once at its cheapest score, and candidate extensions are filtered by a rank
-cap and an almost-connected rule.  With no rank cap and that rule off (tests
-turn it off by patching ``_extend_c`` to ``lambda *a: -1``) the search is
-exact (optimal substructure of the path score).
+cap and an almost-connected rule read off each state's open edges: a
+neighbour of the path joins it, and while none waits, a qubit one step
+beyond may wait for the next qubit to join it to the rest.  A qubit further
+out could never be joined, so its state is never pushed.  With no rank cap
+and that rule off (tests patch ``_next_qubits`` to yield every qubit off the
+path) the search is exact (optimal substructure of the path score).
 
 Scores are plain Python integers, so accumulation never overflows.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "NetworkShape",
@@ -67,58 +71,46 @@ class NetworkShape:
         return b if b else set(self.nodes)
 
 
-def _step(
-    shape: NetworkShape, open_edges: frozenset[Edge], q: int
-) -> tuple[int, int]:
-    """Cost of absorbing node ``q`` into an intermediate with ``open_edges``
-    (product of extents over both operands' open edges), plus the rank
-    (extent > 1 edges) of the result, whose open edges are the operands'
-    symmetric difference."""
-    legs = shape._legs[q]
-    ext = shape.edges
-    cost = prod(ext[e] for e in open_edges | legs)
-    rank = sum(1 for e in open_edges ^ legs if ext[e] > 1)
-    return cost, rank
-
-
-def _extend_c(
-    adj: Mapping[int, frozenset[int]], members: frozenset[int], c: int, q: int
-) -> int | None:
-    """Connectivity flag after adding ``q``; None when the extension is
-    forbidden by the almost-connected rule."""
-    touches_main = bool(adj[q] & (members - ({c} if c != -1 else set())))
-    if c == -1:
-        return -1 if (touches_main or not members) else q
-    # one isolated qubit pending: q must reconnect everything
-    if touches_main and c in adj[q]:
-        return -1
-    return None
+def _next_qubits(
+    shape: NetworkShape, members: frozenset[int], c: int, open_edges: frozenset[Edge]
+) -> Iterator[tuple[int, int]]:
+    """The qubits the almost-connected rule lets follow ``members``
+    (connectivity flag ``c``: -1, or the qubit waiting apart), each with
+    its flag after it.  A qubit at the far end of an open edge joins; while
+    none waits, one a step beyond may wait, and a waiting qubit takes only
+    its neighbours that touch the rest of the path.  A qubit further out
+    has no such neighbour: its state could never finish.
+    """
+    adj = shape._adj
+    if c != -1:
+        rest = members - {c}
+        return ((q, -1) for q in adj[c] if not adj[q].isdisjoint(rest))
+    near = {l if k in members else k for k, l in open_edges}
+    beyond = set().union(*(adj[q] for q in near)) - near - members
+    return chain(((q, -1) for q in near), ((q, q) for q in beyond))
 
 
 def _candidates(
     shape: NetworkShape,
     members: frozenset[int],
     c: int,
+    open_edges: frozenset[Edge],
     max_rank: int | None,
-) -> Iterator[tuple[int, int, int]]:
-    """Admissible next qubits after ``members`` (connectivity flag ``c``),
-    in node order, as ``(qubit, step cost, connectivity flag after it)``.
-
-    A candidate must keep the path almost connected and leave an
-    intermediate of rank at most ``max_rank``.
+) -> Iterator[tuple[int, int, int, frozenset[Edge]]]:
+    """Admissible next qubits after ``members`` (flag ``c``), as ``(qubit,
+    step cost, flag after it, open edges after it)``: allowed by the
+    almost-connected rule (``_next_qubits``) and leaving at most ``max_rank`` extent > 1 open edges.
+    A step costs the product of extents over both operands' open edges.
     """
-    adj = shape.adjacency()
-    open_edges = shape.open_edges(members)
-    for q in shape.nodes:
-        if q in members:
-            continue
-        nc = _extend_c(adj, members, c, q)
-        if nc is None:
-            continue
-        cost, rank = _step(shape, open_edges, q)
-        if max_rank is not None and rank > max_rank:
-            continue
-        yield q, cost, nc
+    ext = shape.edges
+    rank = sum(1 for e in open_edges if ext[e] > 1)
+    width = prod(ext[e] for e in open_edges)
+    for q, nc in _next_qubits(shape, members, c, open_edges):
+        legs = shape._legs[q]
+        grow = sum(-1 if e in open_edges else 1 for e in legs if ext[e] > 1)
+        if max_rank is None or rank + grow <= max_rank:
+            cost = width * prod(ext[e] for e in legs if e not in open_edges)
+            yield q, cost, nc, open_edges ^ legs
 
 
 def treewidth_bound(shape: NetworkShape) -> int:
@@ -152,17 +144,17 @@ def find_optimal_path(
     if n == 0:
         raise PathSearchError("empty network")
 
-    heap: list[tuple[int, int, tuple[int, ...], int]] = []
+    heap: list[tuple[int, int, tuple[int, ...], int, frozenset[Edge]]] = []
     for q in sorted(shape.boundary()):
-        _, rank = _step(shape, frozenset(), q)
-        if max_rank is None or rank <= max_rank:
-            heapq.heappush(heap, (0, -1, (q,), -1))
+        legs = shape._legs[q]
+        if max_rank is None or sum(1 for e in legs if shape.edges[e] > 1) <= max_rank:
+            heapq.heappush(heap, (0, -1, (q,), -1, legs))
     visited: set[frozenset[int]] = set()
     largest = 0
     pushed = len(heap)
 
     while heap:
-        score, _, path, c = heapq.heappop(heap)
+        score, _, path, c, open_edges = heapq.heappop(heap)
         members = frozenset(path)
         if members in visited:
             continue
@@ -170,8 +162,8 @@ def find_optimal_path(
         largest = max(largest, len(path))
         if len(path) == n:
             return list(path), score
-        for q, cost, nc in _candidates(shape, members, c, max_rank):
-            heapq.heappush(heap, (score + cost, -(len(path) + 1), path + (q,), nc))
+        for q, cost, nc, after in _candidates(shape, members, c, open_edges, max_rank):
+            heapq.heappush(heap, (score + cost, -(len(path) + 1), path + (q,), nc, after))
             pushed += 1
             if max_states is not None and pushed > max_states:
                 raise PathSearchError(f"search exceeded state budget {max_states}")

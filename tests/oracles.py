@@ -4,6 +4,7 @@ The costs here are read off the shape's edge list, not through the search's
 own step pricing, so agreement with ``find_optimal_path`` is evidence.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
@@ -28,6 +29,16 @@ def score_increment(path: Sequence[int], next_qubit: int, shape: NetworkShape) -
         ext
         for (k, l), ext in shape.edges.items()
         if (k in members) != (l in members) or next_qubit in (k, l)
+    )
+
+
+def boundary_rank(shape: NetworkShape, members: set[int]) -> int:
+    """Rank of the intermediate over ``members``: its open edges of extent
+    > 1."""
+    return sum(
+        1
+        for (k, l), ext in shape.edges.items()
+        if ext > 1 and (k in members) != (l in members)
     )
 
 
@@ -94,9 +105,56 @@ def exhaustive_path_oracle(shape: NetworkShape) -> tuple[list[int], int]:
 
 def unpruned():
     """Context in which ``find_optimal_path`` and ``_candidates`` skip the
-    almost-connected rule: every extension is admissible and keeps the path
-    marked connected.  With no rank cap the search is then exact."""
-    return mock.patch.object(pathfind, "_extend_c", lambda *a: -1)
+    almost-connected rule: every qubit not on the path is a candidate and
+    keeps the path marked connected.  With no rank cap the search is then
+    exact."""
+    return mock.patch.object(
+        pathfind, "_next_qubits",
+        lambda shape, members, c, open_edges: (
+            (q, -1) for q in shape.nodes if q not in members
+        ),
+    )
+
+
+def reference_path_search(
+    shape: NetworkShape, max_rank: int | None = None
+) -> tuple[list[int], int]:
+    """The search with the almost-connected rule tested on every qubit off
+    the path for every popped state: best-first over partial paths, each
+    qubit subset finalized once, ties broken on (score, longer path first,
+    lexicographic path).  A qubit may join when it touches the path, or wait
+    apart from it when none waits; a waiting qubit must be joined to the
+    rest by the next qubit.  Raises ``PathSearchError`` where no path is
+    within ``max_rank``."""
+    adj = shape.adjacency()
+    heap = [(0, -1, (q,), -1) for q in sorted(shape.boundary())
+            if max_rank is None or boundary_rank(shape, {q}) <= max_rank]
+    heapq.heapify(heap)
+    visited: set[frozenset[int]] = set()
+    while heap:
+        score, _, path, waiting = heapq.heappop(heap)
+        members = frozenset(path)
+        if members in visited:
+            continue
+        visited.add(members)
+        if len(path) == len(shape.nodes):
+            return list(path), score
+        rest = members - {waiting}
+        for q in shape.nodes:
+            if q in members:
+                continue
+            touches = bool(adj[q] & rest)
+            if waiting == -1:
+                flag = -1 if touches else q
+            elif touches and waiting in adj[q]:
+                flag = -1
+            else:
+                continue
+            if max_rank is not None and boundary_rank(shape, members | {q}) > max_rank:
+                continue
+            step = score + score_increment(path, q, shape)
+            heapq.heappush(heap, (step, -len(path) - 1, path + (q,), flag))
+    raise pathfind.PathSearchError("no full contraction path")
 
 
 def check_invariants(state: TNSState) -> None:

@@ -1,7 +1,10 @@
+import functools
 import re
 
 import pytest
 
+from tnsim.circuit import generate_lattice, generate_rqc
+from tnsim.network import overlap_shape, overlap_states
 from tnsim.pathfind import (
     NetworkShape,
     PathSearchError,
@@ -11,7 +14,14 @@ from tnsim.pathfind import (
 )
 
 from conftest import random_network_shape
-from oracles import connectivity, exhaustive_path_oracle, score_increment, unpruned
+from oracles import (
+    boundary_rank,
+    connectivity,
+    exhaustive_path_oracle,
+    reference_path_search,
+    score_increment,
+    unpruned,
+)
 
 
 def grid_shape(rows: int, cols: int, extent: int = 2) -> NetworkShape:
@@ -30,13 +40,12 @@ def path_shape(n: int, extent: int = 2) -> NetworkShape:
     return NetworkShape(tuple(range(n)), {(i, i + 1): extent for i in range(n - 1)})
 
 
-def boundary_rank(shape: NetworkShape, members: set[int]) -> int:
-    """Independent rank oracle: open edges of extent > 1 around ``members``."""
-    return sum(
-        1
-        for (k, l), ext in shape.edges.items()
-        if ext > 1 and (k in members) != (l in members)
-    )
+@functools.cache
+def sycamore_shape(rows: int, cols: int, depth: int, seed: int) -> NetworkShape:
+    """Overlap shape of a sycamore-like circuit, in and out all zeros."""
+    n = rows * cols
+    circuit = generate_rqc(generate_lattice("sycamore-like", rows, cols), depth, seed=seed)
+    return overlap_shape(*overlap_states(circuit, "0" * n, "0" * n))
 
 
 class TestScoreIncrement:
@@ -124,9 +133,20 @@ class TestConnectivity:
                         connectivity(prefix, net)
 
 
+def candidates(net: NetworkShape, path: list[int], c: int, cap) -> list:
+    return list(_candidates(net, frozenset(path), c, net.open_edges(path), cap))
+
+
 class TestNeighbours:
     def predicate(self, net: NetworkShape, path: list[int], q: int, cap) -> bool:
         """Oracle for candidate admissibility from whole-path connectivity."""
+
+        def connected(p: list[int]) -> bool:
+            try:
+                return connectivity(p, net) == -1
+            except ValueError:
+                return False
+
         extended = path + [q]
         try:
             new_c = connectivity(extended, net)
@@ -134,6 +154,10 @@ class TestNeighbours:
             return False
         if connectivity(path, net) != -1 and new_c != -1:
             return False  # a pending isolated qubit must be reconnected
+        if new_c != -1 and not any(
+            connected(extended + [r]) for r in net.nodes if r not in extended
+        ):
+            return False  # no next qubit could reconnect it
         if cap is not None and boundary_rank(net, set(extended)) > cap:
             return False
         return True
@@ -151,28 +175,37 @@ class TestNeighbours:
                 continue
             expected = [q for q in net.nodes if q not in path
                         and self.predicate(net, path, q, cap)]
-            found = list(_candidates(net, frozenset(path), c, cap))
-            assert [q for q, _, _ in found] == expected
-            for q, cost, nc in found:
+            found = candidates(net, path, c, cap)
+            assert sorted(q for q, *_ in found) == expected
+            for q, cost, nc, after in found:
                 assert cost == score_increment(path, q, net)
                 assert nc == connectivity(path + [q], net)
+                assert after == net.open_edges(path + [q])
+
+    def test_waiting_qubit_is_one_step_out(self):
+        net = path_shape(5)
+        # 1 joins, 2 may wait for 1; nothing could join 3 or 4 to {0}
+        assert [(q, nc) for q, _, nc, _ in candidates(net, [0], -1, None)] == [
+            (1, -1), (2, 2)
+        ]
+        assert [q for q, *_ in candidates(net, [0, 2], 2, None)] == [1]
 
     def test_without_connectivity_pruning(self):
         net = path_shape(5)
         with unpruned():
-            got = list(_candidates(net, frozenset([0]), -1, None))
-            pending = list(_candidates(net, frozenset([0, 3]), 3, None))
-        assert [q for q, _, _ in got] == [1, 2, 3, 4]
+            got = candidates(net, [0], -1, None)
+            pending = candidates(net, [0, 3], 3, None)
+        assert [q for q, *_ in got] == [1, 2, 3, 4]
         # with 3 isolated, the rule admits only a qubit joining 3 to {0}: none
-        assert [q for q, _, _ in pending] == [1, 2, 4]
-        assert list(_candidates(net, frozenset([0, 3]), 3, None)) == []
+        assert [q for q, *_ in pending] == [1, 2, 4]
+        assert candidates(net, [0, 3], 3, None) == []
 
     def test_rank_cap_filters(self):
         net = grid_shape(3, 3)
         # absorbing the centre alone opens four extent-2 bonds
         with unpruned():
-            got = list(_candidates(net, frozenset([0]), -1, 3))
-        assert 4 not in [q for q, _, _ in got]
+            got = candidates(net, [0], -1, 3)
+        assert 4 not in [q for q, *_ in got]
 
 
 class TestTreewidthBound:
@@ -243,6 +276,43 @@ class TestFindOptimalPath:
     def test_empty_network_rejected(self):
         with pytest.raises(PathSearchError, match="empty"):
             find_optimal_path(NetworkShape((), {}))
+
+
+class TestAgainstReference:
+    """Pushing only states that can finish, the search returns what the
+    almost-connected rule tested on every qubit off the path returns."""
+
+    def check(self, net: NetworkShape) -> None:
+        for cap in (None, 3, 4):
+            try:
+                expected = reference_path_search(net, cap)
+            except PathSearchError:
+                with pytest.raises(PathSearchError):
+                    find_optimal_path(net, cap)
+            else:
+                assert find_optimal_path(net, cap) == expected
+
+    def test_random_shapes(self, rnd):
+        for _ in range(40):
+            self.check(random_network_shape(rnd, rnd.randint(5, 9)))
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4)])
+    def test_grids(self, rows, cols):
+        self.check(grid_shape(rows, cols))
+
+    def test_sycamore_6x6_d8(self):
+        self.check(sycamore_shape(6, 6, 8, seed=1))
+
+    def test_54_qubits_within_15000_states(self):
+        # the rule tested on every qubit pushes 22,712 states here; the
+        # states that can finish number 13,573
+        path, score = find_optimal_path(sycamore_shape(9, 6, 8, seed=7), 8, max_states=15_000)
+        assert score == 102944358920
+        assert path == [
+            0, 6, 7, 12, 1, 18, 8, 2, 13, 19, 24, 30, 20, 25, 31, 36, 42, 48,
+            43, 49, 37, 44, 50, 32, 38, 26, 33, 14, 21, 9, 3, 15, 10, 4, 27, 22,
+            16, 11, 5, 17, 23, 29, 28, 34, 39, 45, 51, 46, 35, 41, 40, 52, 47, 53,
+        ]
 
 
 class TestExhaustiveOracle:
