@@ -841,21 +841,6 @@ def _layer_steps(
     return steps
 
 
-def _layer_orders(
-    shape: NetworkShape,
-    phi: TNSState,
-    psi: TNSState,
-    path: list[int],
-    cut_edges: tuple[Edge, ...],
-) -> dict[int, tuple[int, int]]:
-    """The qubits of ``path`` whose merged step costs at least
-    ``LAYER_RATIO`` times their two layer steps, each with its layers in
-    the cheaper order (``_layer_steps``)."""
-    steps = _layer_steps(shape, phi, psi, path, cut_edges)
-    return {q: order for q, (merged, layered, order) in steps.items()
-            if merged >= LAYER_RATIO * layered}
-
-
 def _layered(
     shape: NetworkShape,
     phi: TNSState,
@@ -864,25 +849,50 @@ def _layered(
     orders: dict[int, tuple[int, int]],
 ) -> tuple[NetworkShape, list[int]]:
     """The shape and path that absorb each qubit of ``orders`` as its two
-    layer nodes, in its order."""
-    return (
-        _layered_shape(shape, phi, psi, frozenset(orders)),
-        [v for q in path for v in orders.get(q, (q,))],
-    )
+    layer nodes, in its order: each edge at one splits into its phi bond
+    and its psi bond, and the two layers share their physical edge."""
+    a, b = phi.bond_dims, psi.bond_dims
+    edges = {}
+    for e, d in shape.edges.items():
+        if orders.keys().isdisjoint(e):
+            edges[e] = d
+        else:
+            edges[e] = a[e]
+            edges[tuple(~q if q in orders else q for q in e)] = b[e]
+    for q in sorted(orders):
+        edges[q, ~q] = phi.tensors[q].dims[0]
+    nodes = shape.nodes + tuple(~q for q in sorted(orders))
+    return NetworkShape(nodes, edges), [v for q in path for v in orders.get(q, (q,))]
 
 
-def _held_within(
-    shape: NetworkShape, path: list[int], bound: int, budget: Budget
+def _reference(
+    shape: NetworkShape,
+    phi: TNSState,
+    psi: TNSState,
+    path: list[int],
+    steps: dict[int, tuple[int, int, tuple[int, int]]],
+    peak_bound: int | None,
 ) -> ContractionProgram | None:
-    """The program of ``path`` whose ``peak_elements`` is at most
-    ``bound``, or None: compiled with its live sets held to ``bound``, and
-    while the run would hold more, below the last program's live sets."""
-    live = bound
-    while (program := compile_program(shape, path, live, budget)) is not None:
-        if program.peak_elements <= bound:
-            break
-        live = min(live - (program.peak_elements - bound), program.live_elements - 1)
-    return program
+    """The program of ``path`` before the layer search.  Its layered
+    qubits are those of ``steps`` whose merged step costs at least
+    ``LAYER_RATIO`` times their two layer steps.  Without ``peak_bound``,
+    it is the merged program, or the one that layers them within the
+    merged program's ``live_elements`` when its estimated time is lower;
+    with it, the one that layers them within the bound, else the merged
+    one within it, else None."""
+    orders = {q: order for q, (merged, layered, order) in steps.items()
+              if merged >= LAYER_RATIO * layered}
+    if peak_bound is None:
+        merged = compile_program(shape, path)
+        if not orders:
+            return merged
+        layered = compile_program(*_layered(shape, phi, psi, path, orders), merged.live_elements)
+        return layered if layered is not None and layered.time < merged.time else merged
+    if orders:
+        layered = compile_program(*_layered(shape, phi, psi, path, orders), peak_bound)
+        if layered is not None:
+            return layered
+    return compile_program(shape, path, peak_bound)
 
 
 def _layer_more(
@@ -890,23 +900,23 @@ def _layer_more(
     phi: TNSState,
     psi: TNSState,
     path: list[int],
-    cut_edges: tuple[Edge, ...],
+    steps: dict[int, tuple[int, int, tuple[int, int]]],
     program: ContractionProgram,
 ) -> ContractionProgram:
     """``program``, or a program of ``path`` that layers more of its qubits
     and beats it.
 
-    The candidates are the qubits whose two layer steps cost fewer
-    multiplies than their merged step (``_layer_steps``).  The search
-    compiles the program that layers them all within ``program``'s
-    ``peak_elements``; while there is none, it merges back the candidate
-    that saves the fewest multiplies.  The first program found replaces
+    The candidates are the qubits of ``steps`` whose two layer steps cost
+    fewer multiplies than their merged step.  The search compiles the
+    program that layers them all within ``program``'s ``live_elements``,
+    once, and keeps it when a run of it holds no more than ``program``'s
+    ``peak_elements``; while it keeps none, it merges back the candidate
+    that saves the fewest multiplies.  The first program kept replaces
     ``program`` when both its estimated time and its multiplies are lower.
     ``program`` stands once the candidates left save no more multiplies
     than the qubits it layers, or once the compiles have made
     ``LAYER_MOVES`` DP move evaluations.
     """
-    steps = _layer_steps(shape, phi, psi, path, cut_edges)
     saved = {q: merged - layered for q, (merged, layered, _) in steps.items() if layered < merged}
     ranked = sorted(saved, key=lambda q: (-saved[q], q))
     floor = sum(saved[q] for q in program.layered)
@@ -916,35 +926,16 @@ def _layer_more(
             break
         orders = {q: steps[q][2] for q in ranked[:n]}
         try:
-            found = _held_within(
-                *_layered(shape, phi, psi, path, orders), program.peak_elements, budget
+            found = compile_program(
+                *_layered(shape, phi, psi, path, orders), program.live_elements, budget
             )
         except BudgetSpent:
             break
-        if found is not None:
+        if found is not None and found.peak_elements <= program.peak_elements:
             if found.time < program.time and found.multiplies < program.multiplies:
                 return found
             break
     return program
-
-
-def _layered_shape(
-    shape: NetworkShape, phi: TNSState, psi: TNSState, layered: frozenset[int]
-) -> NetworkShape:
-    """``shape`` with each qubit of ``layered`` as its two layer nodes: each
-    edge at one splits into its phi bond and its psi bond, and the two
-    layers share their physical edge."""
-    a, b = phi.bond_dims, psi.bond_dims
-    edges = {}
-    for e, d in shape.edges.items():
-        if layered.isdisjoint(e):
-            edges[e] = d
-        else:
-            edges[e] = a[e]
-            edges[tuple(~q if q in layered else q for q in e)] = b[e]
-    for q in sorted(layered):
-        edges[q, ~q] = phi.tensors[q].dims[0]
-    return NetworkShape(shape.nodes + tuple(~q for q in sorted(layered)), edges)
 
 
 # The programs ``_compile`` returned last in this process, by every input
@@ -964,18 +955,13 @@ def _compile(
     cut_edges: tuple[Edge, ...],
     peak_bound: int | None = None,
 ) -> ContractionProgram | None:
-    """The program of ``path`` on the slice shape ``shape``.
-
-    First the reference program: without ``peak_bound``, the merged
-    program, or the one that layers the qubits ``_layer_orders`` picks
-    when it fits the merged program's largest live set and its estimated
-    time is lower; with it, the layered program whose live sets fit the
-    bound, else the merged one, else None.  Then the layer search
-    (``_layer_more``) may replace it with a program that layers more
-    qubits, runs within its ``peak_elements`` and beats its estimated time
-    and its multiplies.  A cut run's program without a bound keeps the
-    reference: it only sets the bound of the slices' program and how many
-    slices run at once.
+    """The program of ``path`` on the slice shape ``shape``: the reference
+    program (``_reference``), which the layer search (``_layer_more``) may
+    replace with one that layers more qubits, runs within its
+    ``peak_elements`` and beats its estimated time and its multiplies.
+    Both read one ``_layer_steps`` table.  A cut run's program without a
+    bound keeps the reference: it only sets the bound of the slices'
+    program and how many slices run at once.
 
     Memoised on the shape's nodes and extents, the path, the cut edges,
     both states' bond extents and the bound, for the ``PROGRAMS`` most
@@ -988,14 +974,11 @@ def _compile(
         cached = key in _programs
         program = _programs.pop(key, None)
     if not cached:
-        program = (
-            _compile_afresh(shape, phi, psi, path, cut_edges)
-            if peak_bound is None
-            else _compile_within(shape, phi, psi, path, cut_edges, peak_bound)
-        )
+        steps = _layer_steps(shape, phi, psi, path, cut_edges)
+        program = _reference(shape, phi, psi, path, steps, peak_bound)
         # a cut run's program without a bound only sets its slices' bound
         if program is not None and (peak_bound is not None or not cut_edges):
-            program = _layer_more(shape, phi, psi, path, cut_edges, program)
+            program = _layer_more(shape, phi, psi, path, steps, program)
         # the DP leaves dead cycles (its tuples, about 1 MB on square 3x3
         # d12) that hold heap memory until a full collection, and the
         # workspace would go above them; a collection takes 6-7 ms, so an
@@ -1006,41 +989,6 @@ def _compile(
         while len(_programs) > PROGRAMS:
             del _programs[next(iter(_programs))]
     return program
-
-
-def _compile_afresh(
-    shape: NetworkShape,
-    phi: TNSState,
-    psi: TNSState,
-    path: list[int],
-    cut_edges: tuple[Edge, ...],
-) -> ContractionProgram:
-    program = compile_program(shape, path)
-    orders = _layer_orders(shape, phi, psi, path, cut_edges)
-    if not orders:
-        return program
-    layered = compile_program(
-        *_layered(shape, phi, psi, path, orders), program.live_elements
-    )
-    if layered is None or layered.time >= program.time:
-        return program
-    return layered
-
-
-def _compile_within(
-    shape: NetworkShape,
-    phi: TNSState,
-    psi: TNSState,
-    path: list[int],
-    cut_edges: tuple[Edge, ...],
-    peak_bound: int,
-) -> ContractionProgram | None:
-    orders = _layer_orders(shape, phi, psi, path, cut_edges)
-    if orders:
-        layered = compile_program(*_layered(shape, phi, psi, path, orders), peak_bound)
-        if layered is not None:
-            return layered
-    return compile_program(shape, path, peak_bound)
 
 
 def _absorb(
@@ -1220,26 +1168,37 @@ def _contract_slices(
     workspace: np.ndarray,
     workers: Workers,
     k: int,
-) -> list[complex]:
-    """Every slice's scalar, in slice order, ``k`` slices at once: worker
-    j < k contracts one contiguous range of slices in part j of
-    ``workspace``, each part ``program.workspace`` long, and runs each call
-    whole.  Each worker holds its cut endpoints in its own copy of
-    ``net``'s held nodes, so that it does not rebuild them for every slice
-    after another worker's."""
+) -> complex:
+    """The sum of every slice's scalar, added in slice order, ``k`` slices
+    at once: worker j < k contracts one contiguous range of slices in part
+    j of ``workspace``, each part ``program.workspace`` long.  Each worker
+    holds its cut endpoints in its own copy of ``net``'s held nodes, so
+    that it does not rebuild them for every slice after another worker's.
+    At k = 1 the calling thread contracts every slice, each call split
+    across ``workers``, and adds each scalar as it comes; at k > 1 each
+    call runs whole, and the workers keep their scalars until all are
+    done."""
     n, size = plan.slice_count, program.workspace
-    scalars = [0j] * n
+    split = workers if k == 1 else None
 
-    def contract(j: int) -> None:
-        if j >= k:
-            return
+    def scalars(j: int):
         own = dataclasses.replace(net, held=dict(net.held))
         part = workspace[j * size:(j + 1) * size]
         for s in range(n * j // k, n * (j + 1) // k):
-            scalars[s] = contract_along_path(slice_network(own, plan, s), program, workspace=part)
+            yield contract_along_path(
+                slice_network(own, plan, s), program, workspace=part, workers=split
+            )
+
+    if k == 1:
+        return sum(scalars(0))
+    ranges: list[list[complex]] = [[]] * k
+
+    def contract(j: int) -> None:
+        if j < k:
+            ranges[j] = list(scalars(j))
 
     workers.run(contract)
-    return scalars
+    return sum(chain.from_iterable(ranges))
 
 
 def compute_amplitude(
@@ -1258,23 +1217,22 @@ def compute_amplitude(
     within the reference program's peak (``_compile``, or the program an
     earlier amplitude of the same shape compiled) -> the network
     (``build_overlap_network``) -> sum of its slices' scalars, in slice
-    order.  BLAS runs single-threaded throughout, inside the amplitude's
-    ``Workers``.
+    order (``_contract_slices``).  BLAS runs single-threaded throughout,
+    inside the amplitude's ``Workers``.
     Only then is a node built: up front, in qubit order, each node that no
     cut edge touches when there are cuts; every other node when its step
     reads it, a cut endpoint at its slice's size, rebuilt only when the
     values of its cut edges change.  ``cuts`` is "auto", None (no cuts) or
     a list of edges.
 
-    With one slice, every result is written into one workspace, and each
-    large call splits across the amplitude's ``Workers``.  With more, every
-    slice runs on a program whose live sets fit ``1 / SLICE_SHARE`` of
-    that one's where one does, and the workers take whole slices, as many
-    at once as fit in its peak (``_slices_at_once``), each slice in its
-    worker's own workspace; otherwise the slices run one at a time, as the
-    one slice does.  The program does not depend on the worker count, and
-    the scalars are summed in slice order, so the output is the same at
-    any thread count.
+    With more than one slice, every slice runs on a program whose live
+    sets fit ``1 / SLICE_SHARE`` of the unbounded one's where one does.
+    Its k slices at once are as many as fit in the unbounded program's
+    peak, at most one per worker (``_slices_at_once``), each in its own
+    part of one workspace.  At k = 1 each large call splits across the
+    amplitude's ``Workers`` instead.  The program does not depend on the
+    worker count, and the scalars are summed in slice order, so the output
+    is the same at any thread count.
 
     ``path_score`` is the program's multiplies per slice, the search's
     score unless a qubit is layered.
@@ -1297,15 +1255,7 @@ def compute_amplitude(
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
         k = _slices_at_once(whole, program, workers.count)
         workspace = np.empty(k * program.workspace, dtype=np.complex128)
-        if k > 1:
-            total = sum(_contract_slices(net, plan, program, workspace, workers, k))
-        else:
-            total = sum(
-                contract_along_path(
-                    slice_network(net, plan, s), program, workspace=workspace, workers=workers
-                )
-                for s in range(plan.slice_count)
-            )
+        total = _contract_slices(net, plan, program, workspace, workers, k)
     ms = (time.perf_counter() - start) * 1e3
     return AmplitudeStats(
         total,

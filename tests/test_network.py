@@ -984,16 +984,15 @@ def states_and_path(rows, cols, depth, cuts=()):
 
 def layered_setup(rows, cols, depth, cuts=()):
     """The merged program of square rows x cols at ``depth`` from seed 1,
-    the layer orders ``_compile`` picks on its path, and the layered shape
-    and path it compiles against the merged program's peak."""
+    the layer orders of the qubits whose ratio reaches ``LAYER_RATIO`` on
+    its path, and the layered shape and path ``_reference`` compiles
+    against the merged program's peak."""
     phi, psi, shape, path = states_and_path(rows, cols, depth, cuts)
-    orders = network._layer_orders(shape, phi, psi, path, tuple(cuts))
-    return (
-        compile_program(shape, path),
-        orders,
-        network._layered_shape(shape, phi, psi, frozenset(orders)),
-        [v for q in path for v in orders.get(q, (q,))],
-    )
+    steps = network._layer_steps(shape, phi, psi, path, tuple(cuts))
+    orders = {q: order for q, (merged, layered, order) in steps.items()
+              if merged >= network.LAYER_RATIO * layered}
+    return (compile_program(shape, path), orders,
+            *network._layered(shape, phi, psi, path, orders))
 
 
 def step_multiplies(shape: NetworkShape, path: list[int]) -> list[int]:
@@ -1084,6 +1083,19 @@ class TestLayerChoice:
         phi, psi, shape, path = states_and_path(3, 3, 12)
         assert compile_program(shape, path, peak_bound=0) is None
 
+    def test_merged_reference_where_layering_is_slower(self, monkeypatch):
+        # at ratio 1, square 3x3 d8 layers seven qubits within the merged
+        # live sets in 281,664 multiplies against 643,136, but the estimate
+        # is 9.77e6 against 5.29e6
+        monkeypatch.setattr(network, "LAYER_RATIO", 1)
+        merged, orders, shape, path = layered_setup(3, 3, 8)
+        assert len(orders) == 7
+        layered = compile_program(shape, path, merged.live_elements)
+        assert layered.multiplies < merged.multiplies and layered.time > merged.time
+        phi, psi, shape, path = states_and_path(3, 3, 8)
+        steps = network._layer_steps(shape, phi, psi, path, ())
+        assert network._reference(shape, phi, psi, path, steps, None) == merged
+
 
 def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
     """The program a run had before the layer search (merged or layered by
@@ -1095,11 +1107,12 @@ def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
     shape = overlap_shape(phi, psi)
     plan = plan_cuts(shape, explicit_edges=list(cuts))
     sliced, path = slice_shape(shape, plan.cut_edges), list(plan.path)
-    reference = network._compile_afresh(sliced, phi, psi, path, plan.cut_edges)
+    steps = network._layer_steps(sliced, phi, psi, path, plan.cut_edges)
+    reference = network._reference(sliced, phi, psi, path, steps, None)
     bound = None
     if cuts:
         bound = reference.live_elements // network.SLICE_SHARE
-        reference = network._compile_within(sliced, phi, psi, path, plan.cut_edges, bound)
+        reference = network._reference(sliced, phi, psi, path, steps, bound)
     return reference, network._compile(sliced, phi, psi, path, plan.cut_edges, bound)
 
 
@@ -1139,9 +1152,37 @@ class TestLayerSearch:
         # the program that sets their bound is never searched
         phi, psi, shape, path = states_and_path(4, 4, 10, [(5, 6)])
         whole = network._compile(shape, phi, psi, path, ((5, 6),))
-        assert whole == network._compile_afresh(shape, phi, psi, path, ((5, 6),))
+        steps = network._layer_steps(shape, phi, psi, path, ((5, 6),))
+        assert whole == network._reference(shape, phi, psi, path, steps, None)
         reference, chosen = reference_and_chosen("square", 4, 4, 10, cuts=((5, 6),))
         assert chosen == reference
+
+    @pytest.mark.parametrize("rows, cols, depth, cuts, layered, multiplies", [
+        # each candidate set is compiled once, so the move budget lasts
+        # until the search reaches these sets
+        (4, 4, 12, ((5, 6),), {1, 2, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 1_235_551_232),
+        (3, 4, 11, (), {0, 1, 2, 4, 5, 6, 7, 9, 10, 11}, 150_700_544),
+    ], ids=["sq16-d12-cut-5-6", "sq12-d11"])
+    def test_one_compile_per_set_reaches_more_qubits(
+        self, rows, cols, depth, cuts, layered, multiplies
+    ):
+        reference, chosen = reference_and_chosen("square", rows, cols, depth, cuts=cuts)
+        assert chosen.layered == layered
+        assert chosen.multiplies == multiplies < reference.multiplies
+        assert chosen.peak_elements <= reference.peak_elements
+        assert chosen.time < reference.time
+
+    def test_search_stops_where_the_reference_layers_every_candidate(self, monkeypatch):
+        # at ratio 1, square 3x3 d12's reference layers every qubit whose
+        # layer steps cost fewer multiplies, so no set can save more
+        monkeypatch.setattr(network, "LAYER_RATIO", 1)
+        phi, psi, shape, path = states_and_path(3, 3, 12)
+        steps = network._layer_steps(shape, phi, psi, path, ())
+        reference = network._reference(shape, phi, psi, path, steps, None)
+        assert reference.layered == {q for q, (m, l, _) in steps.items() if l < m}
+        calls = compile_calls(monkeypatch)
+        assert network._layer_more(shape, phi, psi, path, steps, reference) is reference
+        assert calls == []
 
     def test_sycamore_4x5_d14_layers_all_but_three(self):
         reference, chosen = reference_and_chosen("sycamore-like", 4, 5, 14)
@@ -1329,7 +1370,7 @@ class TestSlicesAtOnce:
     @staticmethod
     def run_on(monkeypatch, count: int, circuit, out: str, **kwargs):
         """``compute_amplitude`` with BLAS reporting ``count`` threads, and
-        the slice count of each ``_contract_slices`` call."""
+        how many slices at once each ``_contract_slices`` call ran."""
         blas = openblas()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS to take a thread count from")
@@ -1360,7 +1401,7 @@ class TestSlicesAtOnce:
             (workspace,) = {id(owner(r.data)): owner(r.data) for r in results}.values()
             assert workspace.size == count * programs[-1].workspace
         # one slice at a time, then two and three at once
-        assert [ks for _, ks in runs] == [[], [2], [3]]
+        assert [ks for _, ks in runs] == [[1], [2], [3]]
         one = runs[0][0]
         assert one.slice_count == 16
         assert [s.record(timing=False) for s, _ in runs[1:]] == [one.record(timing=False)] * 2
@@ -1389,5 +1430,5 @@ class TestSlicesAtOnce:
         out = "01" * (n // 2) + "0" * (n % 2)
         stats, ks = self.run_on(monkeypatch, 2, c, out, cuts=cuts, max_rank=max_rank)
         assert stats.slice_count == slices
-        assert ks == ([k] if k > 1 else [])
+        assert ks == [k]
         assert len(threads) == k
