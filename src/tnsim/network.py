@@ -938,57 +938,73 @@ def _layer_more(
     return program
 
 
-# The programs ``_compile`` returned last in this process, by every input
-# it reads but the physical extents, which are 2 on every qubit: a
-# circuit's amplitudes share their cuts, path and bond extents, whatever
-# their out-strings, and so one program.
+# The programs ``_compile`` returned last in this process, each with its
+# room, by every input it reads but the physical extents, which are 2 on
+# every qubit: a circuit's amplitudes share their cuts, path and bond
+# extents, whatever their out-strings, and so one program.
 PROGRAMS = 8
-_programs: dict[tuple, ContractionProgram | None] = {}
+_programs: dict[tuple, tuple[ContractionProgram, int]] = {}
 _programs_lock = threading.Lock()
+
+# A run of more than one slice compiles the program it runs on every slice
+# within 1 / SLICE_SHARE of the reference program's live sets, so that as
+# many slices as fit in the reference's peak run at once, one per worker.
+# Measured on sliced-sq16-d10 with OpenBLAS on 2 cores, bench/run.py
+# --seed 1 in alternating runs: one slice at a time (each large call split
+# across the workers) against 1/3 in 10 pairs of 50 s, and 1/2 against 1/3
+# in 3 pairs of 25 s, where 1/3 read 0.51-0.59 s:
+#
+#   bound   wall_s      peak_rss_mb   output
+#   none    0.46-0.72   47.9-48.1
+#   1/3     0.39-0.60   45.0-45.3     the same bytes
+#   1/2     0.49-0.55   51.2-51.3     last bits moved on all 8 out-strings
+SLICE_SHARE = 3
 
 
 def _compile(
-    shape: NetworkShape,
-    phi: TNSState,
-    psi: TNSState,
-    path: list[int],
-    cut_edges: tuple[Edge, ...],
-    peak_bound: int | None = None,
-) -> ContractionProgram | None:
-    """The program of ``path`` on the slice shape ``shape``: the reference
-    program (``_reference``), which the layer search (``_layer_more``) may
-    replace with one that layers more qubits, runs within its
-    ``peak_elements`` and beats its estimated time and its multiplies.
-    Both read one ``_layer_steps`` table.  A cut run's program without a
-    bound keeps the reference: it only sets the bound of the slices'
-    program and how many slices run at once.
+    shape: NetworkShape, phi: TNSState, psi: TNSState, plan: CutPlan
+) -> tuple[ContractionProgram, int]:
+    """The program that a run of ``plan`` on the network of ``shape``
+    executes on every slice, and its room: how many slices fit at once.
 
-    Memoised on the shape's nodes and extents, the path, the cut edges,
-    both states' bond extents and the bound, for the ``PROGRAMS`` most
-    recently used."""
-    key = (
-        shape.nodes, tuple(shape.edges.items()), tuple(path), cut_edges,
-        tuple(phi.bond_dims.items()), tuple(psi.bond_dims.items()), peak_bound,
-    )
+    On the slice shape, ``shape`` without the cut edges, the path compiles
+    into the reference program (``_reference``).  A one-slice run executes
+    it; a run of more slices executes the reference held to ``1 /
+    SLICE_SHARE`` of its ``live_elements``, or the reference where none
+    fits.  The layer search (``_layer_more``) may then replace the program
+    executed with one that layers more qubits, runs within its
+    ``peak_elements`` and beats its estimated time and its multiplies.  All
+    read one ``_layer_steps`` table.  The room is how many of the program's
+    ``peak_elements`` fit in the reference's, or 1 for one slice.
+
+    Memoised on the shape's nodes and extents, the path, the cut edges and
+    both states' bond extents, for the ``PROGRAMS`` most recently used."""
+    path, cuts = list(plan.path), plan.cut_edges
+    key = (shape.nodes, tuple(shape.edges.items()), plan.path, cuts,
+           tuple(phi.bond_dims.items()), tuple(psi.bond_dims.items()))
     with _programs_lock:
-        cached = key in _programs
-        program = _programs.pop(key, None)
-    if not cached:
-        steps = _layer_steps(shape, phi, psi, path, cut_edges)
-        program = _reference(shape, phi, psi, path, steps, peak_bound)
-        # a cut run's program without a bound only sets its slices' bound
-        if program is not None and (peak_bound is not None or not cut_edges):
-            program = _layer_more(shape, phi, psi, path, steps, program)
+        compiled = _programs.pop(key, None)
+    if compiled is None:
+        edges = {e: d for e, d in shape.edges.items() if e not in cuts}
+        sliced = NetworkShape(shape.nodes, edges)
+        steps = _layer_steps(sliced, phi, psi, path, cuts)
+        program = reference = _reference(sliced, phi, psi, path, steps, None)
+        if plan.slice_count > 1:
+            bound = reference.live_elements // SLICE_SHARE
+            program = _reference(sliced, phi, psi, path, steps, bound) or reference
+        program = _layer_more(sliced, phi, psi, path, steps, program)
+        room = reference.peak_elements // program.peak_elements
+        compiled = program, room if plan.slice_count > 1 else 1
         # the DP leaves dead cycles (its tuples, about 1 MB on square 3x3
         # d12) that hold heap memory until a full collection, and the
         # workspace would go above them; a collection takes 6-7 ms, so an
         # amplitude that compiles nothing goes without
         gc.collect()
     with _programs_lock:
-        _programs[key] = program
+        _programs[key] = compiled
         while len(_programs) > PROGRAMS:
             del _programs[next(iter(_programs))]
-    return program
+    return compiled
 
 
 def _absorb(
@@ -1139,28 +1155,6 @@ def overlap_states(
     return two_sided_evolve(fused, in_bits, out_bits, split_cycle)
 
 
-# A run of more than one slice compiles the program it runs on every slice
-# within 1 / SLICE_SHARE of the peak of the program it would run otherwise,
-# so that as many slices as fit in that peak run at once, one per worker.
-# Measured on sliced-sq16-d10 with OpenBLAS on 2 cores, bench/run.py
-# --seed 1 in alternating runs: one slice at a time (each large call split
-# across the workers) against 1/3 in 10 pairs of 50 s, and 1/2 against 1/3
-# in 3 pairs of 25 s, where 1/3 read 0.51-0.59 s:
-#
-#   bound   wall_s      peak_rss_mb   output
-#   none    0.46-0.72   47.9-48.1
-#   1/3     0.39-0.60   45.0-45.3     the same bytes
-#   1/2     0.49-0.55   51.2-51.3     last bits moved on all 8 out-strings
-SLICE_SHARE = 3
-
-
-def _slices_at_once(whole: ContractionProgram, program: ContractionProgram, count: int) -> int:
-    """How many slices on ``program`` run at once, one per worker of
-    ``count``: as many as fit in the peak of ``whole``, the program the run
-    would use otherwise."""
-    return min(count, whole.peak_elements // program.peak_elements)
-
-
 def _contract_slices(
     net: StateOverlap,
     plan: CutPlan,
@@ -1170,10 +1164,11 @@ def _contract_slices(
     k: int,
 ) -> complex:
     """The sum of every slice's scalar, added in slice order, ``k`` slices
-    at once: worker j < k contracts one contiguous range of slices in part
-    j of ``workspace``, each part ``program.workspace`` long.  Each worker
-    holds its cut endpoints in its own copy of ``net``'s held nodes, so
-    that it does not rebuild them for every slice after another worker's.
+    at once, k at most the program's room (``_compile``): worker j < k
+    contracts one contiguous range of slices in part j of ``workspace``,
+    each part ``program.workspace`` long.  Each worker holds its cut
+    endpoints in its own copy of ``net``'s held nodes, so that it does not
+    rebuild them for every slice after another worker's.
     At k = 1 the calling thread contracts every slice, each call split
     across ``workers``, and adds each scalar as it comes; at k > 1 each
     call runs whole, and the workers keep their scalars until all are
@@ -1212,10 +1207,11 @@ def compute_amplitude(
     """Full single-amplitude pipeline.
 
     two states -> the overlap network's shape -> cut plan, whose one path
-    search gives every slice's path -> that path compiled once into a
-    program that layers each qubit whose layer steps pay, as many as run
-    within the reference program's peak (``_compile``, or the program an
-    earlier amplitude of the same shape compiled) -> the network
+    search gives every slice's path -> that path compiled once into the
+    program every slice runs, which layers each qubit whose layer steps
+    pay, as many as run within the peak of the program it replaces, and
+    its room (``_compile``, or what an earlier amplitude of the same shape
+    compiled) -> the network
     (``build_overlap_network``) -> sum of its slices' scalars, in slice
     order (``_contract_slices``).  BLAS runs single-threaded throughout,
     inside the amplitude's ``Workers``.
@@ -1228,8 +1224,8 @@ def compute_amplitude(
     With more than one slice, every slice runs on a program whose live
     sets fit ``1 / SLICE_SHARE`` of the unbounded one's where one does.
     Its k slices at once are as many as fit in the unbounded program's
-    peak, at most one per worker (``_slices_at_once``), each in its own
-    part of one workspace.  At k = 1 each large call splits across the
+    peak, the program's room, at most one per worker, each in its own part
+    of one workspace.  At k = 1 each large call splits across the
     amplitude's ``Workers`` instead.  The program does not depend on the
     worker count, and the scalars are summed in slice order, so the output
     is the same at any thread count.
@@ -1245,15 +1241,9 @@ def compute_amplitude(
         shape = overlap_shape(phi, psi)
         explicit = None if cuts == "auto" else list(cuts or ())
         plan = plan_cuts(shape, max_rank, explicit)
-        path = list(plan.path)
-        edges = {e: d for e, d in shape.edges.items() if e not in plan.cut_edges}
-        sliced = NetworkShape(shape.nodes, edges)
-        whole = program = _compile(sliced, phi, psi, path, plan.cut_edges)
-        if plan.slice_count > 1:
-            bound = whole.live_elements // SLICE_SHARE
-            program = _compile(sliced, phi, psi, path, plan.cut_edges, bound) or whole
+        program, room = _compile(shape, phi, psi, plan)
         net = build_overlap_network(phi, psi, program, plan.cut_edges)
-        k = _slices_at_once(whole, program, workers.count)
+        k = min(workers.count, room)
         workspace = np.empty(k * program.workspace, dtype=np.complex128)
         total = _contract_slices(net, plan, program, workspace, workers, k)
     ms = (time.perf_counter() - start) * 1e3
@@ -1262,7 +1252,7 @@ def compute_amplitude(
         program.peak_rank,
         program.multiplies * plan.slice_count,
         plan.slice_count,
-        path,
+        list(plan.path),
         program.multiplies,
         ms,
     )

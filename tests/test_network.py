@@ -429,7 +429,7 @@ class TestComputeAmplitude:
         n = rows * rows
         c = generate_rqc(generate_lattice("square", rows, rows), depth, seed=1)
         compiled = returns(monkeypatch, "_compile")
-        at_once = returns(monkeypatch, "_slices_at_once")
+        references = returns(monkeypatch, "_reference")
         nets, programs = [], []
         build, run = network.build_overlap_network, network.contract_along_path
         monkeypatch.setattr(
@@ -453,9 +453,10 @@ class TestComputeAmplitude:
         free = sum(
             t.data.size for q, (_, t) in net.held.items() if (q if q >= 0 else ~q) not in ends
         )
-        whole, (k,) = compiled[0], at_once
-        assert k * programs[0].peak_elements <= whole.peak_elements
-        assert peak <= (whole.peak_elements + free) * 16 + 2**20
+        ((program, room),), reference = compiled, references[0]
+        assert program is programs[0]
+        assert room * program.peak_elements <= reference.peak_elements
+        assert peak <= (reference.peak_elements + free) * 16 + 2**20
 
     def test_cut_edges_sharing_an_endpoint(self):
         # node 4 carries all three cut edges
@@ -1097,23 +1098,30 @@ class TestLayerChoice:
         assert network._reference(shape, phi, psi, path, steps, None) == merged
 
 
-def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
-    """The program a run had before the layer search (merged or layered by
-    ``LAYER_RATIO``; a cut run's within a third of the peak) and the one
-    ``_compile`` chooses, shape-only, with the all-zero strings."""
+def compiled(kind, rows, cols, depth, seed=1, cuts=()):
+    """The states, shape and plan of a run, shape-only with the all-zero
+    strings, and the program and room ``_compile`` gives it."""
     n = rows * cols
     c = generate_rqc(generate_lattice(kind, rows, cols), depth, seed=seed)
     phi, psi = overlap_states(c, "0" * n, "0" * n)
     shape = overlap_shape(phi, psi)
     plan = plan_cuts(shape, explicit_edges=list(cuts))
+    return phi, psi, shape, plan, network._compile(shape, phi, psi, plan)
+
+
+def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
+    """The program a run had before the layer search (merged or layered by
+    ``LAYER_RATIO``; a run of more than one slice's within a third of the
+    peak, where one fits) and the one ``_compile`` chooses, shape-only,
+    with the all-zero strings."""
+    phi, psi, shape, plan, (chosen, _) = compiled(kind, rows, cols, depth, seed, cuts)
     sliced, path = slice_shape(shape, plan.cut_edges), list(plan.path)
     steps = network._layer_steps(sliced, phi, psi, path, plan.cut_edges)
     reference = network._reference(sliced, phi, psi, path, steps, None)
-    bound = None
-    if cuts:
+    if plan.slice_count > 1:
         bound = reference.live_elements // network.SLICE_SHARE
-        reference = network._reference(sliced, phi, psi, path, steps, bound)
-    return reference, network._compile(sliced, phi, psi, path, plan.cut_edges, bound)
+        reference = network._reference(sliced, phi, psi, path, steps, bound) or reference
+    return reference, chosen
 
 
 class TestLayerSearch:
@@ -1147,15 +1155,16 @@ class TestLayerSearch:
         assert chosen.time <= reference.time
         assert chosen.multiplies <= reference.multiplies
 
-    def test_sliced_square_4x4_d10_keeps_its_programs(self):
-        # the search finds no faster program within the slices' peak, and
-        # the program that sets their bound is never searched
-        phi, psi, shape, path = states_and_path(4, 4, 10, [(5, 6)])
-        whole = network._compile(shape, phi, psi, path, ((5, 6),))
-        steps = network._layer_steps(shape, phi, psi, path, ((5, 6),))
-        assert whole == network._reference(shape, phi, psi, path, steps, None)
+    def test_sliced_square_4x4_d10_keeps_its_programs(self, monkeypatch):
+        # the search runs on the slices' program only, not on the reference
+        # that sets their bound, and finds no faster program within its peak
+        searched = []
+        layer_more = network._layer_more
+        monkeypatch.setattr(
+            network, "_layer_more", lambda *args: searched.append(args[-1]) or layer_more(*args)
+        )
         reference, chosen = reference_and_chosen("square", 4, 4, 10, cuts=((5, 6),))
-        assert chosen == reference
+        assert chosen == reference and searched == [reference]
 
     @pytest.mark.parametrize("rows, cols, depth, cuts, layered, multiplies", [
         # each candidate set is compiled once, so the move budget lasts
@@ -1222,6 +1231,38 @@ class TestLayerSearch:
         assert sum(spent) == network.LAYER_MOVES - budget.moves <= network.LAYER_MOVES + 240
 
 
+class TestFallbackSearched:
+    """A run of more than one slice where no program fits a third of the
+    reference's live sets runs on the reference: the layer search runs on
+    it, and the room is how many of the searched program's peaks fit in
+    the reference's."""
+
+    def test_sycamore_4x5_d14_cut_6_11_fits_the_uncut_peak(self):
+        _, uncut = reference_and_chosen("sycamore-like", 4, 5, 14)
+        reference, chosen = reference_and_chosen("sycamore-like", 4, 5, 14, cuts=((6, 11),))
+        *_, plan, (_, room) = compiled("sycamore-like", 4, 5, 14, cuts=((6, 11),))
+        assert plan.slice_count == 64
+        assert len(reference.layered) == 4 and reference.peak_elements == 69_206_080
+        assert chosen.layered == {0, 1, 2, 3, 5, 7, 8, 10, 12, 13, 14, 16, 17, 18, 19}
+        assert chosen.peak_elements == 4_194_304 <= uncut.peak_elements
+        assert chosen.multiplies == 924_516_356
+        assert room == 16
+
+    def test_square_3x3_d14_cut_0_1_layers_seven_qubits(self):
+        reference, chosen = reference_and_chosen("square", 3, 3, 14, cuts=((0, 1),))
+        *_, (_, room) = compiled("square", 3, 3, 14, cuts=((0, 1),))
+        assert reference.layered == {4}
+        assert chosen.layered == set(range(2, 9))
+        assert chosen.multiplies == 80_871_552 < reference.multiplies
+        assert room == 1
+
+    def test_sycamore_4x5_d16_cut_6_11_peak(self):
+        reference, chosen = reference_and_chosen("sycamore-like", 4, 5, 16, cuts=((6, 11),))
+        # 8.9 GB at 16 bytes an element, against 0.8 GB
+        assert reference.peak_elements == 553_648_192
+        assert chosen.peak_elements == 50_331_648
+
+
 def compile_calls(monkeypatch) -> list:
     calls = []
     compile_ = network.compile_program
@@ -1238,11 +1279,11 @@ class TestProgramCache:
 
     circuit = TestLayeredRuns.circuit
 
-    # merged, then with qubit 4 layered, then uncut the layer search's
-    # one compile; cut, both again within a third of the peak, where
-    # neither fits
+    # merged, then with qubit 4 layered, then the layer search's one
+    # compile; cut, both again within a third of the peak, where neither
+    # fits, then the search's one compile, on the unbounded program
     @pytest.mark.parametrize(
-        "cuts, compiles", [(None, 3), ([(0, 1)], 4)], ids=["uncut", "cut-0-1"]
+        "cuts, compiles", [(None, 3), ([(0, 1)], 5)], ids=["uncut", "cut-0-1"]
     )
     def test_second_amplitude_compiles_nothing(self, monkeypatch, cuts, compiles):
         calls = compile_calls(monkeypatch)
@@ -1270,11 +1311,14 @@ class TestProgramCache:
         monkeypatch.setattr(network, "PROGRAMS", 1)
         calls = compile_calls(monkeypatch)
         c = generate_rqc(generate_lattice("square", 3, 3), 4, seed=1)
-        for cuts in (None, None, [(0, 1)], None):
+        counts = []
+        for cuts in (None, None, [(0, 1)], [(0, 1)], None):
             compute_amplitude(c, "0" * 9, "010101010", cuts=cuts)
-        # the cut run's two programs, without and with a bound, evict
-        # the uncut one and then each other
-        assert len(calls) == 4
+            counts.append(len(calls))
+        # a run holds one program, whether cut or not: the cut run's evicts
+        # the uncut one, its repeat compiles nothing, and the uncut run's
+        # evicts it
+        assert counts == [1, 1, 3, 3, 4]
         assert len(network._programs) == 1
 
 
@@ -1399,7 +1443,7 @@ class TestSlicesAtOnce:
             )
             # every result in one workspace, of one part per slice at once
             (workspace,) = {id(owner(r.data)): owner(r.data) for r in results}.values()
-            assert workspace.size == count * programs[-1].workspace
+            assert workspace.size == count * programs[-1][0].workspace
         # one slice at a time, then two and three at once
         assert [ks for _, ks in runs] == [[1], [2], [3]]
         one = runs[0][0]
