@@ -1098,7 +1098,7 @@ class TestLayerChoice:
         assert network._reference(shape, phi, psi, path, steps, None) == merged
 
 
-def compiled(kind, rows, cols, depth, seed=1, cuts=()):
+def compiled_run(kind, rows, cols, depth, seed=1, cuts=()):
     """The states, shape and plan of a run, shape-only with the all-zero
     strings, and the program and room ``_compile`` gives it."""
     n = rows * cols
@@ -1114,7 +1114,7 @@ def reference_and_chosen(kind, rows, cols, depth, seed=1, cuts=()):
     ``LAYER_RATIO``; a run of more than one slice's within a third of the
     peak, where one fits) and the one ``_compile`` chooses, shape-only,
     with the all-zero strings."""
-    phi, psi, shape, plan, (chosen, _) = compiled(kind, rows, cols, depth, seed, cuts)
+    phi, psi, shape, plan, (chosen, _) = compiled_run(kind, rows, cols, depth, seed, cuts)
     sliced, path = slice_shape(shape, plan.cut_edges), list(plan.path)
     steps = network._layer_steps(sliced, phi, psi, path, plan.cut_edges)
     reference = network._reference(sliced, phi, psi, path, steps, None)
@@ -1240,7 +1240,7 @@ class TestFallbackSearched:
     def test_sycamore_4x5_d14_cut_6_11_fits_the_uncut_peak(self):
         _, uncut = reference_and_chosen("sycamore-like", 4, 5, 14)
         reference, chosen = reference_and_chosen("sycamore-like", 4, 5, 14, cuts=((6, 11),))
-        *_, plan, (_, room) = compiled("sycamore-like", 4, 5, 14, cuts=((6, 11),))
+        *_, plan, (_, room) = compiled_run("sycamore-like", 4, 5, 14, cuts=((6, 11),))
         assert plan.slice_count == 64
         assert len(reference.layered) == 4 and reference.peak_elements == 69_206_080
         assert chosen.layered == {0, 1, 2, 3, 5, 7, 8, 10, 12, 13, 14, 16, 17, 18, 19}
@@ -1250,7 +1250,7 @@ class TestFallbackSearched:
 
     def test_square_3x3_d14_cut_0_1_layers_seven_qubits(self):
         reference, chosen = reference_and_chosen("square", 3, 3, 14, cuts=((0, 1),))
-        *_, (_, room) = compiled("square", 3, 3, 14, cuts=((0, 1),))
+        *_, (_, room) = compiled_run("square", 3, 3, 14, cuts=((0, 1),))
         assert reference.layered == {4}
         assert chosen.layered == set(range(2, 9))
         assert chosen.multiplies == 80_871_552 < reference.multiplies
